@@ -1,6 +1,6 @@
 //! Routing-throughput benchmark: hops per second on a pre-sampled GIRG,
 //! comparing the naive per-candidate score path against the prepared-kernel
-//! hot path and the SoA routing index (with and without Morton-order
+//! hot path and the SoA routing index (each with and without Morton-order
 //! vertex relabeling), plus a thread-scaling matrix over the batched
 //! `TrialBatch` path.
 //!
@@ -10,7 +10,7 @@
 //! cargo run --release -p smallworld-bench --bin bench_routing -- --quick
 //! ```
 //!
-//! All four variants route the *same* source/target pairs and, by the
+//! All five variants route the *same* source/target pairs and, by the
 //! equivalence guarantees of `smallworld-core` (enforced in
 //! `tests/kernel_equivalence.rs`), produce bitwise-identical routes — so
 //! the hop totals must agree across variants and only the wall-clock may
@@ -22,6 +22,11 @@
 //! and single-threaded wall-clock keeps the speedup column noise-free.
 //! The scaling table then holds the fastest variant fixed and sweeps the
 //! pool width.
+//!
+//! `kernel+morton` is the prepared kernel over the Morton-relabeled GIRG,
+//! where a hub's id-sorted neighbor list is spatially clustered and the
+//! kernel's hub block pruning skips most of it. Over original ids (the
+//! `kernel` row) the blocks span the torus and pruning skips little.
 
 use std::time::Instant;
 
@@ -94,6 +99,13 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
             &pool,
         ),
         measure("kernel", &batch, &GirgObjective::new(girg), seed, &pool),
+        measure(
+            "kernel+morton",
+            &batch_re,
+            &GirgObjective::new(&relabeled),
+            seed,
+            &pool,
+        ),
         measure(
             "kernel+soa-index",
             &batch,

@@ -17,13 +17,15 @@
 //!    equality with the original so the numbers can never come from a
 //!    short-circuited load.
 //! 2. **Mapped vs decoded routing**: the same Monte-Carlo trial sequence is
-//!    routed four ways — decoded CSR (`TrialBatch`), decode-free over the
-//!    mapped store's LRU cursor, the eager-decode cursor (A/B), and
-//!    shard-local with explicit handoff — asserting the outcomes are
-//!    element-for-element identical before reporting throughput. The
-//!    `vs decoded` column is the throughput fraction relative to the
-//!    decoded baseline; `artifact_check` gates the mapped row at >= 0.5x
-//!    at full scale.
+//!    routed five ways — decoded CSR (`TrialBatch`), the same with hub
+//!    block pruning, decode-free over the mapped store's LRU cursor, the
+//!    eager-decode cursor (A/B), and shard-local with explicit handoff —
+//!    asserting the outcomes are element-for-element identical before
+//!    reporting throughput. The `vs decoded` column is the throughput
+//!    fraction relative to the decoded baseline, which scans every
+//!    neighbor slot like the mapped variants do, so the ratio prices
+//!    decoding alone; `artifact_check` gates the mapped row at >= 0.5x
+//!    at full scale. The `decoded+pruned` row is ungated.
 //! 3. **Out-of-core sampling ladder**: each rung re-executes this binary
 //!    as a `--ladder-child` subprocess (peak RSS via `VmHWM` is a
 //!    process-wide high-water mark, so each measurement needs its own
@@ -198,9 +200,10 @@ fn draw_connected_pairs(
         .collect()
 }
 
-/// Routes one trial sequence four ways — decoded, mapped (lazy LRU),
-/// mapped (eager A/B), and shard-local with handoff — asserting the
-/// outcomes identical, and reports throughput for each.
+/// Routes one trial sequence five ways — decoded (full scan), decoded with
+/// hub block pruning, mapped (lazy LRU), mapped (eager A/B), and
+/// shard-local with handoff — asserting the outcomes identical, and
+/// reports throughput for each.
 fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::path::Path) -> Table {
     let path = dir.join("bench-store-routing.swg");
     smallworld_store::save_girg(girg, &path, ROUTE_SHARDS)
@@ -217,17 +220,39 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
     let seed = 11;
     let pool = Pool::from_env();
 
+    // the baseline scans whole lists (`from_parts` carries no hub block
+    // summaries), as the mapped cursors do
+    let full_scan = GirgObjective::from_parts(
+        girg.positions(),
+        girg.weights(),
+        params.wmin * params.intensity,
+    );
     let start = Instant::now();
     let decoded = {
         let _span = Span::enter("route_decoded");
         TrialBatch::new(girg.graph(), comps, pairs)
             .connected_only(true)
-            .run(&GreedyRouter::new(), &GirgObjective::new(girg), seed, &pool)
+            .run(&GreedyRouter::new(), &full_scan, seed, &pool)
     };
     let decoded_secs = start.elapsed().as_secs_f64();
 
-    let mut variants: Vec<(&str, Vec<TrialOutcome>, f64, u64)> =
-        vec![("decoded", decoded.clone(), decoded_secs, 0)];
+    let start = Instant::now();
+    let pruned = {
+        let _span = Span::enter("route_decoded_pruned");
+        TrialBatch::new(girg.graph(), comps, pairs)
+            .connected_only(true)
+            .run(&GreedyRouter::new(), &GirgObjective::new(girg), seed, &pool)
+    };
+    let pruned_secs = start.elapsed().as_secs_f64();
+    assert_eq!(
+        pruned, decoded,
+        "pruned routing diverged from the decoded baseline"
+    );
+
+    let mut variants: Vec<(&str, Vec<TrialOutcome>, f64, u64)> = vec![
+        ("decoded", decoded.clone(), decoded_secs, 0),
+        ("decoded+pruned", pruned, pruned_secs, 0),
+    ];
 
     for (label, eager) in [("mapped", false), ("mapped eager", true)] {
         let start = Instant::now();

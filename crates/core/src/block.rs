@@ -19,6 +19,8 @@ use smallworld_geometry::point::axis_distance;
 use smallworld_geometry::Norm;
 use smallworld_graph::NodeId;
 
+use crate::objective::ScoreKernel;
+
 /// Number of neighbor slots scored per blocked-kernel call.
 ///
 /// Eight f64 lanes fill one AVX-512 register (two SSE2 / one AVX2 pass on
@@ -238,6 +240,22 @@ pub fn fold_first_best(best: &mut Option<(f64, NodeId)>, scores: &[f64], nodes: 
         if best.is_none_or(|(b, _)| s > b) {
             *best = Some((s, v));
         }
+    }
+}
+
+/// Scores `nodes` through `kernel` in [`BLOCK_WIDTH`] chunks and folds
+/// them into the running first-best argmax, bitwise the scalar fold of
+/// [`ScoreKernel::best_neighbor`] over the same slots.
+#[inline]
+pub(crate) fn fold_scored<K: ScoreKernel>(
+    kernel: &K,
+    nodes: &[NodeId],
+    best: &mut Option<(f64, NodeId)>,
+) {
+    let mut scores = [0.0f64; BLOCK_WIDTH];
+    for chunk in nodes.chunks(BLOCK_WIDTH) {
+        kernel.score_block(chunk, &mut scores);
+        fold_first_best(best, &scores[..chunk.len()], chunk);
     }
 }
 

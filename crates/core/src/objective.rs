@@ -29,11 +29,14 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use smallworld_geometry::point::axis_distance;
 use smallworld_geometry::Point;
 use smallworld_graph::{Graph, NodeId};
-use smallworld_models::girg::Girg;
+use smallworld_models::girg::{BlockSummary, Girg, HUB_BLOCK_SLOTS, HUB_MIN_DEGREE};
 use smallworld_models::hyperbolic::{hyperbolic_distance, Hrg};
 use smallworld_models::kleinberg::{ContinuumKleinberg, KleinbergLattice};
+
+use crate::block::fold_scored;
 
 /// A routing objective: vertices with larger score are "closer" to `target`.
 ///
@@ -435,20 +438,30 @@ pub struct GirgObjective<'a, const D: usize> {
     positions: &'a [Point<D>],
     weights: &'a [f64],
     norm: f64,
+    /// The GIRG the positions and weights belong to, whose hub block
+    /// summaries prune the argmax over its own graph.
+    girg: Option<&'a Girg<D>>,
 }
 
 impl<'a, const D: usize> GirgObjective<'a, D> {
     /// Creates the objective for a sampled GIRG.
+    ///
+    /// Its kernels skip the blocks of a hub's neighbor list that cannot
+    /// hold the argmax when routing over `girg.graph()` itself (see
+    /// [`GirgHopKernel::best_neighbor_counted`]); routes are bitwise those
+    /// of a full scan.
     pub fn new(girg: &'a Girg<D>) -> Self {
         GirgObjective {
             positions: girg.positions(),
             weights: girg.weights(),
             norm: girg.params().wmin * girg.params().intensity,
+            girg: Some(girg),
         }
     }
 
     /// Creates the objective from raw positions and weights with
-    /// normalization `w_min · n`.
+    /// normalization `w_min · n`. Its kernels always scan whole neighbor
+    /// lists.
     ///
     /// # Panics
     ///
@@ -461,6 +474,7 @@ impl<'a, const D: usize> GirgObjective<'a, D> {
             positions,
             weights,
             norm: wmin_times_n,
+            girg: None,
         }
     }
 
@@ -501,6 +515,7 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
             norm: self.norm,
             target,
             target_pos: self.positions[target.index()],
+            girg: self.girg,
         }
     }
 }
@@ -518,9 +533,10 @@ pub struct GirgHopKernel<'k, const D: usize> {
     pub(crate) norm: f64,
     pub(crate) target: NodeId,
     pub(crate) target_pos: Point<D>,
+    girg: Option<&'k Girg<D>>,
 }
 
-impl<const D: usize> GirgHopKernel<'_, D> {
+impl<'k, const D: usize> GirgHopKernel<'k, D> {
     /// φ without the `v == target` short-circuit; identical op order to
     /// [`GirgObjective::phi`] so results agree bitwise.
     #[inline]
@@ -531,6 +547,88 @@ impl<const D: usize> GirgHopKernel<'_, D> {
         } else {
             self.weights[v.index()] / (self.norm * dist_pow_d)
         }
+    }
+
+    /// [`ScoreKernel::best_neighbor`] together with the number of neighbor
+    /// slots it scored; `best_neighbor` is this call without the count.
+    ///
+    /// A hub's list (degree at least [`HUB_MIN_DEGREE`]) is visited in
+    /// [`HUB_BLOCK_SLOTS`]-slot blocks, in slot order. A block whose upper
+    /// bound on φ (its largest weight over `norm · dist^D`, with `dist` the
+    /// torus distance from the target to the block's coordinate box) is at
+    /// most the running best is skipped unscored: no slot in it can
+    /// *strictly* beat the best, so the result is still the first-best
+    /// neighbor of a full scan, bitwise. Every other list, and every list
+    /// when the kernel came from [`GirgObjective::from_parts`] or `graph`
+    /// is not the GIRG's own graph, is scored in full.
+    pub fn best_neighbor_counted(
+        &self,
+        graph: &Graph,
+        v: NodeId,
+    ) -> (Option<(f64, NodeId)>, usize) {
+        let neighbors = graph.neighbors(v);
+        let mut best = None;
+        let Some(summaries) = self.hub_summaries(graph, v) else {
+            fold_scored(self, neighbors, &mut best);
+            return (best, neighbors.len());
+        };
+        debug_assert_eq!(summaries.len(), neighbors.len().div_ceil(HUB_BLOCK_SLOTS));
+        let mut scored = 0;
+        for (block, summary) in neighbors.chunks(HUB_BLOCK_SLOTS).zip(summaries) {
+            let bound = block_bound(summary, &self.target_pos, self.norm);
+            if best.is_some_and(|(b, _)| bound <= b) {
+                continue;
+            }
+            fold_scored(self, block, &mut best);
+            scored += block.len();
+        }
+        (best, scored)
+    }
+
+    /// The block summaries of `v`'s list, if `v` is a hub of the GIRG this
+    /// kernel was prepared from and `graph` is that GIRG's graph. The
+    /// summaries describe the slots of that one graph only: any other
+    /// graph, even one with the same vertex count, has other lists.
+    #[inline]
+    fn hub_summaries(&self, graph: &Graph, v: NodeId) -> Option<&'k [BlockSummary<D>]> {
+        let girg = self.girg?;
+        if graph.degree(v) < HUB_MIN_DEGREE || !std::ptr::eq(girg.graph(), graph) {
+            return None;
+        }
+        girg.hub_blocks().blocks(v)
+    }
+}
+
+/// An upper bound on φ over every vertex a block summary covers:
+/// `max_weight / (norm · dist^D)`, where `dist` is the max-norm torus
+/// distance from `target` to the block's coordinate box, or `+∞` when that
+/// quotient bounds nothing (zero distance, a negative or NaN weight, a
+/// non-positive normalization).
+///
+/// Soundness (DESIGN.md §4k): per axis the box is the arc `[lo, hi]` of
+/// the circle, and a target outside an arc is nearest to one of its
+/// endpoints. `axis_distance` computes the endpoints' distances with the
+/// same rounded operations as every coordinate between them, and IEEE
+/// rounding is monotone, so each axis term, the max over axes, `powi`, the
+/// product and the quotient never exceed the values of the block's own
+/// slots.
+#[inline]
+fn block_bound<const D: usize>(summary: &BlockSummary<D>, target: &Point<D>, norm: f64) -> f64 {
+    let mut dist = 0.0f64;
+    for (k, &t) in target.coords().iter().enumerate() {
+        let (lo, hi) = (summary.lo[k], summary.hi[k]);
+        if !(lo <= t && t <= hi) {
+            let d = axis_distance(lo, t).min(axis_distance(hi, t));
+            if d > dist {
+                dist = d;
+            }
+        }
+    }
+    let denom = norm * dist.powi(D as i32);
+    if summary.max_weight >= 0.0 && denom > 0.0 {
+        summary.max_weight / denom
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -557,6 +655,11 @@ impl<const D: usize> ScoreKernel for GirgHopKernel<'_, D> {
             let s = self.phi(v);
             *o = if v == self.target { f64::INFINITY } else { s };
         }
+    }
+
+    #[inline]
+    fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
+        self.best_neighbor_counted(graph, v).0
     }
 }
 

@@ -10,7 +10,8 @@
 //! stream per hop, LRU-cached) routes without any up-front decode. The
 //! argmax inside the view callback is the same first-best-in-adjacency-
 //! order fold as [`ScoreKernel::best_neighbor`], evaluated via
-//! [`ScoreKernel::score_block`] in [`BLOCK_WIDTH`] chunks — both are
+//! [`ScoreKernel::score_block`] in
+//! [`BLOCK_WIDTH`](crate::block::BLOCK_WIDTH) chunks — both are
 //! bitwise-pinned to the scalar fold, so a [`ViewRouter`] route over a
 //! mapped cursor equals the decoded [`GreedyRouter`](crate::GreedyRouter)
 //! route **bitwise**
@@ -27,23 +28,18 @@
 
 use smallworld_graph::{AdjacencyView, NodeId};
 
-use crate::block::{fold_first_best, BLOCK_WIDTH};
+use crate::block::fold_scored;
 use crate::greedy::{RouteOutcome, RouteRecord, DEFAULT_MAX_STEPS};
 use crate::objective::ScoreKernel;
 use crate::observe::RouteObserver;
 use crate::router::RouteScratch;
 
-/// The greedy argmax over one neighbor list: scores in [`BLOCK_WIDTH`]
-/// chunks and folds first-best-in-order, bitwise-identical to the scalar
-/// fold in [`ScoreKernel::best_neighbor`].
+/// The greedy argmax over one neighbor list, scored blockwise (see
+/// [`fold_scored`]).
 #[inline]
 fn best_of_list<K: ScoreKernel>(kernel: &K, neighbors: &[NodeId]) -> Option<(f64, NodeId)> {
-    let mut best: Option<(f64, NodeId)> = None;
-    let mut scores = [0.0f64; BLOCK_WIDTH];
-    for chunk in neighbors.chunks(BLOCK_WIDTH) {
-        kernel.score_block(chunk, &mut scores);
-        fold_first_best(&mut best, &scores[..chunk.len()], chunk);
-    }
+    let mut best = None;
+    fold_scored(kernel, neighbors, &mut best);
     best
 }
 

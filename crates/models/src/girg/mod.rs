@@ -17,10 +17,14 @@
 //! checks exact equality of the edge sets).
 
 mod cells;
+mod hubs;
 mod naive;
 mod stream;
 
+pub use hubs::{BlockSummary, HubBlocks, HUB_BLOCK_SLOTS, HUB_MIN_DEGREE};
 pub use stream::{HalfEdges, StreamError, StreamedGirg};
+
+use std::sync::OnceLock;
 
 use rand::Rng;
 
@@ -71,6 +75,9 @@ pub struct Girg<const D: usize> {
     weights: Vec<f64>,
     params: GirgParams,
     planted: usize,
+    /// Built by the first [`Girg::hub_blocks`] call, so sampling and
+    /// relabeling never pay for it.
+    hub_blocks: OnceLock<HubBlocks<D>>,
 }
 
 impl<const D: usize> Girg<D> {
@@ -97,6 +104,7 @@ impl<const D: usize> Girg<D> {
             weights,
             params,
             planted,
+            hub_blocks: OnceLock::new(),
         }
     }
 
@@ -136,6 +144,14 @@ impl<const D: usize> Girg<D> {
     /// Panics if `v` is out of range.
     pub fn weight(&self, v: NodeId) -> f64 {
         self.weights[v.index()]
+    }
+
+    /// Block summaries of the adjacency lists of this graph's hubs (see
+    /// [`HubBlocks`]), built on the first call and kept for the lifetime of
+    /// the GIRG.
+    pub fn hub_blocks(&self) -> &HubBlocks<D> {
+        self.hub_blocks
+            .get_or_init(|| HubBlocks::build(&self.graph, &self.positions, &self.weights))
     }
 
     /// The model parameters this graph was sampled with.
@@ -383,6 +399,7 @@ impl<const D: usize> GirgBuilder<D> {
                 lambda: self.lambda,
             },
             planted: self.planted.len(),
+            hub_blocks: OnceLock::new(),
         })
     }
 }
