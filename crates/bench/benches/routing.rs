@@ -1,15 +1,14 @@
 //! Per-query routing latency on a pre-sampled 100k-vertex GIRG: greedy
-//! routing under the three objectives — through the naive score path, the
-//! prepared kernel, and the edge-packed routing index — and the BFS used
-//! for stretch.
+//! routing under the three objectives — through the naive score path and
+//! the prepared kernel, over original and Morton-relabeled ids — and the
+//! BFS used for stretch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use smallworld_core::{
-    DistanceObjective, GirgObjective, GreedyRouter, IndexedGirgObjective, NaiveObjective,
-    RelaxedObjective, Router, RoutingIndex,
+    DistanceObjective, GirgObjective, GreedyRouter, NaiveObjective, RelaxedObjective, Router,
 };
 use smallworld_graph::{bfs_distance, NodeId};
 use smallworld_models::girg::{Girg, GirgBuilder};
@@ -56,22 +55,10 @@ fn bench_routing(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("greedy_phi_indexed", |b| {
-        let index = RoutingIndex::for_girg(&girg);
-        let obj = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
-        let mut i = 0;
-        b.iter(|| {
-            let (s, t) = queries[i % queries.len()];
-            i += 1;
-            GreedyRouter::new().route_quiet(girg.graph(), &obj, s, t)
-        });
-    });
-
-    group.bench_function("greedy_phi_indexed_morton", |b| {
+    group.bench_function("greedy_phi_morton", |b| {
         let perm = girg.morton_permutation();
         let relabeled = girg.relabel(&perm);
-        let index = RoutingIndex::for_girg(&relabeled);
-        let obj = IndexedGirgObjective::new(GirgObjective::new(&relabeled), &index);
+        let obj = GirgObjective::new(&relabeled);
         let mut i = 0;
         b.iter(|| {
             let (s, t) = queries[i % queries.len()];

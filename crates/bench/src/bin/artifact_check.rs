@@ -415,20 +415,21 @@ fn check(contents: &str) -> Result<String, String> {
             }
         }
         let full_scale = records[0].1.get("scale").and_then(JsonValue::as_str) == Some("full");
-        // the SoA-index variant is the tentpole: it must be present, and
+        // the Morton-relabeled kernel (hub block pruning on spatially
+        // clustered lists) is the fastest variant: it must be present, and
         // at full scale it must clear the 5x acceptance bound over naive
         let (variant_c, speedup_c) = (column("variant")?, column("speedup")?);
-        let mut soa_speedup = None;
+        let mut morton_speedup = None;
         for row in rows {
-            if cell(row, variant_c)? == "kernel+soa-index" {
-                soa_speedup = Some(numeric(&cell(row, speedup_c)?)?);
+            if cell(row, variant_c)? == "kernel+morton" {
+                morton_speedup = Some(numeric(&cell(row, speedup_c)?)?);
             }
         }
-        let soa_speedup =
-            soa_speedup.ok_or("throughput table has no \"kernel+soa-index\" row")?;
-        if full_scale && soa_speedup < 5.0 {
+        let morton_speedup =
+            morton_speedup.ok_or("throughput table has no \"kernel+morton\" row")?;
+        if full_scale && morton_speedup < 5.0 {
             return Err(format!(
-                "kernel+soa-index speedup {soa_speedup} below the 5x acceptance bound"
+                "kernel+morton speedup {morton_speedup} below the 5x acceptance bound"
             ));
         }
         // the thread-scaling table pins the batched path: identical hops

@@ -1,8 +1,7 @@
 //! Routing-throughput benchmark: hops per second on a pre-sampled GIRG,
 //! comparing the naive per-candidate score path against the prepared-kernel
-//! hot path and the SoA routing index (each with and without Morton-order
-//! vertex relabeling), plus a thread-scaling matrix over the batched
-//! `TrialBatch` path.
+//! hot path (with and without Morton-order vertex relabeling), plus a
+//! thread-scaling matrix over the batched `TrialBatch` path.
 //!
 //! ```console
 //! cargo run --release -p smallworld-bench --bin bench_routing -- \
@@ -10,7 +9,7 @@
 //! cargo run --release -p smallworld-bench --bin bench_routing -- --quick
 //! ```
 //!
-//! All five variants route the *same* source/target pairs and, by the
+//! All three variants route the *same* source/target pairs and, by the
 //! equivalence guarantees of `smallworld-core` (enforced in
 //! `tests/kernel_equivalence.rs`), produce bitwise-identical routes — so
 //! the hop totals must agree across variants and only the wall-clock may
@@ -32,9 +31,7 @@ use std::time::Instant;
 
 use smallworld_analysis::Table;
 use smallworld_bench::{Artifact, Scale, TrialBatch};
-use smallworld_core::{
-    GirgObjective, GreedyRouter, IndexedGirgObjective, NaiveObjective, Objective, RoutingIndex,
-};
+use smallworld_core::{GirgObjective, GreedyRouter, NaiveObjective, Objective};
 use smallworld_graph::Components;
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_par::Pool;
@@ -81,11 +78,9 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
     let comps = Components::compute(girg.graph());
     let batch = TrialBatch::new(girg.graph(), &comps, pairs).connected_only(true);
 
-    let index = RoutingIndex::for_girg(girg);
     let perm = girg.morton_permutation();
     let relabeled = girg.relabel(&perm);
     let comps_re = Components::compute(relabeled.graph());
-    let index_re = RoutingIndex::for_girg(&relabeled);
     let batch_re = TrialBatch::new(relabeled.graph(), &comps_re, pairs)
         .connected_only(true)
         .with_id_map(&perm);
@@ -103,20 +98,6 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
             "kernel+morton",
             &batch_re,
             &GirgObjective::new(&relabeled),
-            seed,
-            &pool,
-        ),
-        measure(
-            "kernel+soa-index",
-            &batch,
-            &IndexedGirgObjective::new(GirgObjective::new(girg), &index),
-            seed,
-            &pool,
-        ),
-        measure(
-            "kernel+soa-index+morton",
-            &batch_re,
-            &IndexedGirgObjective::new(GirgObjective::new(&relabeled), &index_re),
             seed,
             &pool,
         ),
@@ -145,17 +126,17 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
         ]);
     }
 
-    // the scaling matrix holds the SoA-indexed variant fixed and sweeps
-    // pool width over the batched TrialBatch path; trial seeding makes the
-    // hop totals thread-count invariant, so only wall-clock may move
+    // the scaling matrix holds the fastest variant fixed and sweeps pool
+    // width over the batched TrialBatch path; trial seeding makes the hop
+    // totals thread-count invariant, so only wall-clock may move
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let objective = IndexedGirgObjective::new(GirgObjective::new(girg), &index);
+    let objective = GirgObjective::new(&relabeled);
     let mut scaled = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let pool = Pool::with_threads(threads);
-        let m = measure("kernel+soa-index", &batch, &objective, seed, &pool);
+        let m = measure("kernel+morton", &batch_re, &objective, seed, &pool);
         assert_eq!(
             m.hops, measurements[0].hops,
             "thread count {threads} changed the routed hops"
@@ -173,7 +154,7 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
         "efficiency",
         "host cores",
     ])
-    .title("batched trial scaling (kernel+soa-index)");
+    .title("batched trial scaling (kernel+morton)");
     for (threads, m) in &scaled {
         let speedup = m.hops_per_sec() / base_rate;
         scaling.row([
@@ -188,22 +169,7 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
         ]);
     }
 
-    // weight lane is optional (satellite: positions-only objectives skip
-    // it), so the memory table reports both layouts
-    let lean = RoutingIndex::for_girg_positions_only(girg);
-    let mut memory = Table::new(["layout", "vertices", "edge slots", "index bytes", "bytes/slot"])
-        .title("routing index memory");
-    for (layout, ix) in [("weighted", &index), ("positions-only", &lean)] {
-        memory.row([
-            layout.to_string(),
-            ix.node_count().to_string(),
-            ix.entry_count().to_string(),
-            ix.bytes().to_string(),
-            format!("{:.1}", ix.bytes() as f64 / ix.entry_count().max(1) as f64),
-        ]);
-    }
-
-    vec![table, scaling, memory]
+    vec![table, scaling]
 }
 
 fn main() {

@@ -44,17 +44,17 @@ use std::process::Command;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use smallworld_analysis::Table;
 use smallworld_bench::{
-    mapped_trials, split_seed, Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome,
+    draw_trial_pairs, mapped_trials, Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome,
 };
 use smallworld_core::greedy::DEFAULT_MAX_STEPS;
 use smallworld_core::{
     route_sharded, GirgObjective, GreedyRouter, Objective, PackedGirgObjective, ShardSlice,
 };
-use smallworld_graph::{Components, Graph, NodeId};
+use smallworld_graph::{Components, Graph};
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_obs::{JsonValue, Span};
 use smallworld_par::Pool;
@@ -174,32 +174,6 @@ fn measure(girg: &Girg<2>, shards: usize, dir: &std::path::Path) -> Measurement 
     }
 }
 
-/// Draws the trial endpoint sequence exactly as `TrialBatch` (and
-/// `mapped_trials`) does: per-trial seeded RNG, connected-only redraws.
-fn draw_connected_pairs(
-    n: usize,
-    comps: &Components,
-    pairs: usize,
-    master_seed: u64,
-) -> Vec<(NodeId, NodeId)> {
-    (0..pairs)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(split_seed(master_seed, i as u64));
-            loop {
-                let s = NodeId::from_index(rng.gen_range(0..n));
-                let t = NodeId::from_index(rng.gen_range(0..n));
-                if t == s {
-                    continue;
-                }
-                if !comps.same_component(s, t) {
-                    continue;
-                }
-                break (s, t);
-            }
-        })
-        .collect()
-}
-
 /// Routes one trial sequence five ways — decoded (full scan), decoded with
 /// hub block pruning, mapped (lazy LRU), mapped (eager A/B), and
 /// shard-local with handoff — asserting the outcomes identical, and
@@ -291,7 +265,7 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
             boundary: s.boundary(),
         })
         .collect();
-    let endpoints = draw_connected_pairs(girg.node_count(), comps, pairs, seed);
+    let endpoints = draw_trial_pairs(girg.node_count(), 0..pairs, seed, None, Some(comps));
     let start = Instant::now();
     let mut handoffs = 0u64;
     let sharded: Vec<TrialOutcome> = {

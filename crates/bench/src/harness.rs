@@ -96,6 +96,51 @@ where
     })
 }
 
+/// The endpoint pairs of trials `trials` in a batch seeded by
+/// `master_seed`: trial `i` draws from an RNG seeded with
+/// `split_seed(master_seed, i)` alone, so a pair never depends on the
+/// thread count, the chunking, or which other trials are drawn.
+///
+/// Each draw is a uniform `(s, t)` over original ids `0..n`, redrawn while
+/// `s == t`. With `id_map`, the pair is then mapped forward into the
+/// relabeled id space; with `same_component`, it is redrawn until both
+/// (mapped) endpoints share a component. Every trial driver — the decoded
+/// [`TrialBatch`], [`mapped_trials`](crate::mapped_trials) and
+/// `bench_store`'s sharded leg — draws through this one function, which is
+/// what makes their outcome vectors comparable element for element.
+///
+/// The redraw loop only ends when a valid pair exists: callers check that
+/// `n >= 2` and, with a component filter, that some component has two
+/// vertices.
+pub fn draw_trial_pairs(
+    n: usize,
+    trials: std::ops::Range<usize>,
+    master_seed: u64,
+    id_map: Option<&Permutation>,
+    same_component: Option<&Components>,
+) -> Vec<(NodeId, NodeId)> {
+    trials
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(split_seed(master_seed, i as u64));
+            loop {
+                let s = NodeId::from_index(rng.gen_range(0..n));
+                let t = NodeId::from_index(rng.gen_range(0..n));
+                if t == s {
+                    continue;
+                }
+                let (s, t) = match id_map {
+                    Some(perm) => (perm.forward(s), perm.forward(t)),
+                    None => (s, t),
+                };
+                if same_component.is_some_and(|comps| !comps.same_component(s, t)) {
+                    continue;
+                }
+                break (s, t);
+            }
+        })
+        .collect()
+}
+
 /// The outcome of one routing trial.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrialOutcome {
@@ -562,30 +607,14 @@ impl<'a> TrialBatch<'a> {
             let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
             let mut out = Vec::with_capacity(range.len());
             let mut stretches = StretchBatch::new(self.measure_stretch);
-            // phase 1: draw every trial's endpoints exactly as the scalar
-            // path did — the RNG stream per trial is untouched, so the pair
-            // sequence is bitwise-identical to pre-batched runs
-            let endpoints: Vec<(NodeId, NodeId)> = range
-                .clone()
-                .map(|i| {
-                    let mut rng = StdRng::seed_from_u64(split_seed(master_seed, i as u64));
-                    loop {
-                        let s = NodeId::from_index(rng.gen_range(0..n));
-                        let t = NodeId::from_index(rng.gen_range(0..n));
-                        if t == s {
-                            continue;
-                        }
-                        let (s, t) = match self.id_map {
-                            Some(perm) => (perm.forward(s), perm.forward(t)),
-                            None => (s, t),
-                        };
-                        if self.connected_only && !self.components.same_component(s, t) {
-                            continue;
-                        }
-                        break (s, t);
-                    }
-                })
-                .collect();
+            // phase 1: draw every trial's endpoints from its own seeded RNG
+            let endpoints = draw_trial_pairs(
+                n,
+                range.clone(),
+                master_seed,
+                self.id_map,
+                self.connected_only.then_some(self.components),
+            );
             // phase 2: prepare all targets at once, then route each trial
             // against its prepared kernel
             let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));
@@ -805,43 +834,48 @@ mod tests {
         assert_eq!(plain, mapped);
     }
 
-    /// The routing index is pure mechanism: identical records with the
-    /// index on or off, at any thread count.
+    /// Hub block pruning on a Morton-relabeled GIRG is pure mechanism:
+    /// routed through `with_id_map`, the batch reports the original graph's
+    /// records exactly, whatever the thread count.
     #[test]
-    fn trial_batch_with_index_is_invariant() {
-        use smallworld_core::{IndexedGirgObjective, RoutingIndex};
+    fn trial_batch_morton_relabeled_is_invariant() {
         let mut rng = StdRng::seed_from_u64(13);
-        let girg = GirgBuilder::<2>::new(800).sample(&mut rng).unwrap();
+        let girg = GirgBuilder::<2>::new(2_000).beta(2.3).sample(&mut rng).unwrap();
+        let perm = girg.morton_permutation();
+        let relabeled = girg.relabel(&perm);
         let comps = Components::compute(girg.graph());
+        let comps_re = Components::compute(relabeled.graph());
         let obj = GirgObjective::new(&girg);
-        let index = RoutingIndex::for_girg(&girg);
-        let indexed = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
-        let batch = TrialBatch::new(girg.graph(), &comps, 80).connected_only(true);
+        let obj_re = GirgObjective::new(&relabeled);
         let router = GreedyRouter::new();
-        let plain = batch.run_recorded(&router, &obj, 0x1D5, &Pool::with_threads(1));
-        let fast = batch.run_recorded(&router, &indexed, 0x1D5, &Pool::with_threads(4));
+        let plain = TrialBatch::new(girg.graph(), &comps, 80)
+            .connected_only(true)
+            .run_recorded(&router, &obj, 0x1D5, &Pool::with_threads(1));
+        let fast = TrialBatch::new(relabeled.graph(), &comps_re, 80)
+            .connected_only(true)
+            .with_id_map(&perm)
+            .run_recorded(&router, &obj_re, 0x1D5, &Pool::with_threads(4));
         assert_eq!(plain, fast);
     }
 
     /// The batched prepare-then-route path is thread-count invariant over
-    /// the blocked SoA sweep: 1, 2, and 8 worker threads must produce
-    /// bitwise-identical records (the per-trial RNG seeding makes the pair
-    /// sequence independent of chunking).
+    /// the hub-pruned kernel of a Morton-relabeled GIRG: 1, 2, and 8 worker
+    /// threads must produce bitwise-identical records (the per-trial RNG
+    /// seeding makes the pair sequence independent of chunking).
     #[test]
     fn trial_batch_batched_path_is_invariant_at_1_2_and_8_threads() {
-        use smallworld_core::{IndexedGirgObjective, RoutingIndex};
         let mut rng = StdRng::seed_from_u64(29);
-        let girg = GirgBuilder::<2>::new(900).sample(&mut rng).unwrap();
-        let comps = Components::compute(girg.graph());
-        let index = RoutingIndex::for_girg(&girg);
-        let indexed = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
-        let batch = TrialBatch::new(girg.graph(), &comps, 96)
+        let girg = GirgBuilder::<2>::new(2_000).beta(2.3).sample(&mut rng).unwrap();
+        let relabeled = girg.relabel(&girg.morton_permutation());
+        let comps = Components::compute(relabeled.graph());
+        let obj = GirgObjective::new(&relabeled);
+        let batch = TrialBatch::new(relabeled.graph(), &comps, 96)
             .measure_stretch(true)
             .connected_only(true);
         let router = GreedyRouter::new();
-        let one = batch.run_recorded(&router, &indexed, 0xBA7C, &Pool::with_threads(1));
-        let two = batch.run_recorded(&router, &indexed, 0xBA7C, &Pool::with_threads(2));
-        let eight = batch.run_recorded(&router, &indexed, 0xBA7C, &Pool::with_threads(8));
+        let one = batch.run_recorded(&router, &obj, 0xBA7C, &Pool::with_threads(1));
+        let two = batch.run_recorded(&router, &obj, 0xBA7C, &Pool::with_threads(2));
+        let eight = batch.run_recorded(&router, &obj, 0xBA7C, &Pool::with_threads(8));
         assert_eq!(one.len(), 96);
         assert_eq!(one, two);
         assert_eq!(one, eight);

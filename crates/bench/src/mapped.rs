@@ -3,23 +3,22 @@
 //! [`mapped_trials`] is the [`TrialBatch`](crate::TrialBatch) twin for a
 //! [`MappedGraph`]: trial `i`'s endpoint pair and route are the same pure
 //! function of `(store, master_seed, i)` that the decoded batch computes —
-//! identical per-trial RNG seeding ([`split_seed`]), identical
-//! connected-only redraws, and the same first-best argmax (the packed φ
-//! kernel is bitwise the point kernel, and [`ViewRouter`] runs the
-//! identical greedy loop) — so the outcome vector equals the decoded run's
+//! the same connected-only endpoint draw ([`draw_trial_pairs`]) and the
+//! same first-best argmax (the packed φ kernel is bitwise the point
+//! kernel, and [`GreedyRouter::route_view`] runs the identical greedy
+//! loop) — so the outcome vector equals the decoded run's
 //! element for element while the adjacency never leaves the mmap. Both
 //! `girg_gen --mapped` and `bench_store`'s throughput comparison route
 //! through this one function, and `bench_store` asserts the equality.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use smallworld_core::{MetricsRouteObserver, Objective, PackedGirgObjective, RouteScratch, ViewRouter};
-use smallworld_graph::{Components, NodeId};
+use smallworld_core::{
+    GreedyRouter, MetricsRouteObserver, Objective, PackedGirgObjective, RouteScratch,
+};
+use smallworld_graph::Components;
 use smallworld_par::{chunk_ranges, Pool};
 use smallworld_store::MappedGraph;
 
-use crate::harness::{split_seed, TrialOutcome};
+use crate::harness::{draw_trial_pairs, TrialOutcome};
 
 /// The result of a decode-free trial batch: the outcomes (bitwise those of
 /// the decoded [`TrialBatch`](crate::TrialBatch) run) plus the mapped
@@ -70,26 +69,8 @@ pub fn mapped_trials<const D: usize>(
         let mut scratch = RouteScratch::with_path_capacity(32);
         let mut obs = MetricsRouteObserver::new();
         let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
-        let router = ViewRouter::new();
-        // draw every trial's endpoints exactly as TrialBatch does: the
-        // RNG stream per trial is untouched by chunking or threading
-        let endpoints: Vec<(NodeId, NodeId)> = range
-            .clone()
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(split_seed(master_seed, i as u64));
-                loop {
-                    let s = NodeId::from_index(rng.gen_range(0..n));
-                    let t = NodeId::from_index(rng.gen_range(0..n));
-                    if t == s {
-                        continue;
-                    }
-                    if !comps.same_component(s, t) {
-                        continue;
-                    }
-                    break (s, t);
-                }
-            })
-            .collect();
+        let router = GreedyRouter::new();
+        let endpoints = draw_trial_pairs(n, range.clone(), master_seed, None, Some(comps));
         let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));
         let mut out = Vec::with_capacity(range.len());
         for (k, &(s, _)) in endpoints.iter().enumerate() {

@@ -8,10 +8,11 @@
 //! address carried by the message, exactly the locality the paper insists
 //! on.
 
-use smallworld_graph::{Graph, NodeId};
+use smallworld_graph::{AdjacencyView, Graph, NodeId};
 
+use crate::block::fold_scored;
 use crate::objective::{Objective, ScoreKernel};
-use crate::observe::RouteObserver;
+use crate::observe::{NoopObserver, RouteObserver};
 use crate::router::RouteScratch;
 
 /// Default cap on routing steps; greedy paths are `Θ(log log n)` so this is
@@ -126,41 +127,45 @@ impl Default for GreedyRouter {
 }
 
 impl GreedyRouter {
-    /// The kernel-level greedy loop shared by [`Router::route_with`] (which
-    /// prepares per call) and [`Router::route_prepared`] (which enters with
-    /// a batch-prepared kernel): both paths run this exact code, so their
-    /// records and observer events agree bitwise.
-    fn route_kernel<K: ScoreKernel, Obs: RouteObserver>(
+    /// Algorithm 1 — the crate's only greedy hop loop.
+    ///
+    /// `best_neighbor(v)` is the per-hop argmax: the first neighbor of `v`
+    /// (in adjacency order) with the strictly largest kernel score, or
+    /// `None` for an isolated vertex. Every entry point supplies it over its
+    /// own adjacency — [`Router::route_with`](crate::Router::route_with) and
+    /// [`Router::route_prepared`](crate::Router::route_prepared) via
+    /// [`ScoreKernel::best_neighbor`] on a decoded [`Graph`],
+    /// [`GreedyRouter::route_view`] via an [`AdjacencyView`], and
+    /// [`route_sharded`](crate::route_sharded) via a local+boundary merge —
+    /// so all of them share this loop's step cap, strict-improvement rule
+    /// and observer events, and agree bitwise whenever their argmaxes do.
+    pub(crate) fn route_by<K, Obs, F>(
         &self,
-        graph: &Graph,
         kernel: &K,
         s: NodeId,
+        mut best_neighbor: F,
         obs: &mut Obs,
         scratch: &mut RouteScratch,
-    ) -> RouteRecord {
+    ) -> RouteRecord
+    where
+        K: ScoreKernel,
+        Obs: RouteObserver,
+        F: FnMut(NodeId) -> Option<(f64, NodeId)>,
+    {
         let t = kernel.target();
         obs.on_start(s, t);
         let mut path = scratch.take_path();
         path.push(s);
         let mut current = s;
         let mut current_score = kernel.score(s);
-        loop {
+        let outcome = loop {
             if current == t {
-                obs.on_finish(RouteOutcome::Delivered, path.len() - 1);
-                return RouteRecord {
-                    outcome: RouteOutcome::Delivered,
-                    path,
-                };
+                break RouteOutcome::Delivered;
             }
             if path.len() > self.max_steps {
-                obs.on_finish(RouteOutcome::MaxStepsExceeded, path.len() - 1);
-                return RouteRecord {
-                    outcome: RouteOutcome::MaxStepsExceeded,
-                    path,
-                };
+                break RouteOutcome::MaxStepsExceeded;
             }
-            // argmax over neighbors; first-best wins ties deterministically
-            match kernel.best_neighbor(graph, current) {
+            match best_neighbor(current) {
                 Some((score, u)) if score > current_score => {
                     obs.on_hop(u, score);
                     path.push(u);
@@ -169,14 +174,52 @@ impl GreedyRouter {
                 }
                 _ => {
                     obs.on_dead_end(current);
-                    obs.on_finish(RouteOutcome::DeadEnd, path.len() - 1);
-                    return RouteRecord {
-                        outcome: RouteOutcome::DeadEnd,
-                        path,
-                    };
+                    break RouteOutcome::DeadEnd;
                 }
             }
-        }
+        };
+        obs.on_finish(outcome, path.len() - 1);
+        RouteRecord { outcome, path }
+    }
+
+    /// Routes from `s` towards the kernel's target over any
+    /// [`AdjacencyView`] — e.g. a memory-mapped store's cursor, which
+    /// decodes one neighbor list per hop instead of holding a decoded CSR.
+    ///
+    /// The hop argmax scores each list in
+    /// [`BLOCK_WIDTH`](crate::block::BLOCK_WIDTH) chunks, bitwise the scalar
+    /// fold of [`ScoreKernel::best_neighbor`], so over the same adjacency
+    /// the route equals [`Router::route_prepared`](crate::Router::route_prepared)'s.
+    pub fn route_view<V, K, Obs>(
+        &self,
+        view: &mut V,
+        kernel: &K,
+        s: NodeId,
+        obs: &mut Obs,
+        scratch: &mut RouteScratch,
+    ) -> RouteRecord
+    where
+        V: AdjacencyView,
+        K: ScoreKernel,
+        Obs: RouteObserver,
+    {
+        let best_neighbor = |v| {
+            view.with_neighbors(v, |ns| {
+                let mut best = None;
+                fold_scored(kernel, ns, &mut best);
+                best
+            })
+        };
+        self.route_by(kernel, s, best_neighbor, obs, scratch)
+    }
+
+    /// [`GreedyRouter::route_view`] with no observer and fresh scratch.
+    pub fn route_view_quiet<V, K>(&self, view: &mut V, kernel: &K, s: NodeId) -> RouteRecord
+    where
+        V: AdjacencyView,
+        K: ScoreKernel,
+    {
+        self.route_view(view, kernel, s, &mut NoopObserver, &mut RouteScratch::new())
     }
 }
 
@@ -195,7 +238,7 @@ impl crate::router::Router for GreedyRouter {
         scratch: &mut RouteScratch,
     ) -> RouteRecord {
         let kernel = objective.prepare(t);
-        self.route_kernel(graph, &kernel, s, obs, scratch)
+        self.route_by(&kernel, s, |v| kernel.best_neighbor(graph, v), obs, scratch)
     }
 
     fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
@@ -206,7 +249,7 @@ impl crate::router::Router for GreedyRouter {
         obs: &mut Obs,
         scratch: &mut RouteScratch,
     ) -> RouteRecord {
-        self.route_kernel(graph, kernel, s, obs, scratch)
+        self.route_by(kernel, s, |v| kernel.best_neighbor(graph, v), obs, scratch)
     }
 }
 

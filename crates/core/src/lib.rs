@@ -7,25 +7,19 @@
 //!   degree-agnostic geometric objective of §4, Kleinberg's lattice
 //!   objective, and the relaxed/approximate objectives of Theorem 3.5.
 //! * [`greedy`] — Algorithm 1: forward the packet to the neighbor with the
-//!   best objective, fail in local optima.
+//!   best objective, fail in local optima. [`GreedyRouter`] holds the
+//!   crate's only greedy hop loop; it routes over a decoded graph, any
+//!   adjacency view, or a shard partition.
 //! * [`router`] — the [`Router`] trait every protocol implements, plus
 //!   [`RouterKind`] for heterogeneous harnesses.
-//! * [`distributed`] — the same protocol run as per-node programs against
-//!   a locality-enforcing interface: the §3 "purely distributed, one node
-//!   awake at a time" claim, made structural.
 //! * [`lookahead`] — the one-hop "know thy neighbor's neighbor" variant
 //!   cited among the Kleinberg-model refinements.
-//! * [`index`] — the opt-in structure-of-arrays routing index: per-axis
-//!   coordinate lanes (plus optional weight lane) in CSR slot order, so the
-//!   hop scan is a blocked, auto-vectorizable sweep with no random gathers
-//!   (bitwise-identical routes, enforced).
-//! * [`block`] — the blocked scoring primitives behind it: fixed-width
-//!   distance/φ loops per norm and dimension, software prefetch, and the
-//!   tie-break-preserving argmax fold.
+//! * [`block`] — the blocked, tie-break-preserving argmax fold that scores
+//!   neighbor lists [`block::BLOCK_WIDTH`] slots at a time.
 //! * [`packed`] — the φ objective over packed (flat `f64`) geometry, as
 //!   exposed by a memory-mapped `smallworld-store` file: same bitwise
 //!   scores, zero geometry copies.
-//! * [`view_route`] — the same greedy loop over an adjacency *view*
+//! * [`view_route`] — greedy routing over an adjacency *view*
 //!   (`smallworld_graph::AdjacencyView`): decode-free routing straight off
 //!   a memory-mapped store, plus shard-local routing with explicit
 //!   cross-shard handoff — both bitwise-identical to the decoded route.
@@ -65,9 +59,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod block;
-pub mod distributed;
 pub mod greedy;
-pub mod index;
 pub mod lookahead;
 pub mod objective;
 pub mod observe;
@@ -80,9 +72,7 @@ pub mod theory;
 pub mod trajectory;
 pub mod view_route;
 
-pub use distributed::{DistributedGreedy, Simulator};
 pub use greedy::{GreedyRouter, RouteOutcome, RouteRecord};
-pub use index::{IndexedDistanceObjective, IndexedGirgObjective, RoutingIndex};
 pub use lookahead::LookaheadRouter;
 pub use observe::{NoopObserver, RouteObserver};
 pub use observers::{CountingObserver, MetricsRouteObserver};

@@ -1,147 +1,30 @@
-//! Greedy routing over an [`AdjacencyView`] — decode-free routing straight
-//! off a memory-mapped store, and shard-local routing with explicit
+//! Greedy routing over adjacency *views*: decode-free routing straight off
+//! a memory-mapped store, and shard-local routing with explicit
 //! cross-shard handoff.
 //!
-//! [`GreedyRouter`](crate::GreedyRouter) requires a fully decoded
-//! [`Graph`](smallworld_graph::Graph); for a 10⁸-vertex store that decode
-//! is gigabytes of RSS before the first hop. [`ViewRouter`] runs the
-//! **identical greedy loop** against the [`AdjacencyView`] abstraction, so
-//! a mapped store's on-demand cursor (which decodes one vertex's varint
-//! stream per hop, LRU-cached) routes without any up-front decode. The
-//! argmax inside the view callback is the same first-best-in-adjacency-
-//! order fold as [`ScoreKernel::best_neighbor`], evaluated via
-//! [`ScoreKernel::score_block`] in
-//! [`BLOCK_WIDTH`](crate::block::BLOCK_WIDTH) chunks — both are
-//! bitwise-pinned to the scalar fold, so a [`ViewRouter`] route over a
-//! mapped cursor equals the decoded [`GreedyRouter`](crate::GreedyRouter)
-//! route **bitwise**
-//! (same path, same outcome; `smallworld-store`'s equivalence tests
-//! enforce this).
-//!
-//! [`route_sharded`] extends the same loop across a partitioned store:
-//! each shard exposes its local adjacency as a view plus a boundary-edge
-//! table, and the router merges local and boundary neighbors in global id
-//! order — exactly the merge the store's `assemble` performs — so the
-//! sharded route is bitwise the global route, while only touching the
-//! shards the packet actually crosses. A *handoff* is counted whenever
-//! the chosen hop leaves the current shard.
+//! Both run [`GreedyRouter`]'s single Algorithm 1 loop; only the per-hop
+//! argmax differs. [`GreedyRouter::route_view`] folds one view-provided
+//! neighbor list blockwise, and [`route_sharded`] merges a shard's local
+//! neighbors with its boundary-edge table in global id order — exactly the
+//! merge the store's `assemble` performs. Each argmax is the first-best
+//! fold of [`ScoreKernel::best_neighbor`] over the same slots in the same
+//! order, so both routes are **bitwise** the decoded-graph route (same
+//! path, same outcome; `smallworld-store`'s equivalence tests enforce
+//! this), while the sharded route only touches the shards the packet
+//! actually crosses. A *handoff* is a hop whose endpoints lie in
+//! different shards.
 
 use smallworld_graph::{AdjacencyView, NodeId};
 
-use crate::block::fold_scored;
-use crate::greedy::{RouteOutcome, RouteRecord, DEFAULT_MAX_STEPS};
+use crate::greedy::{GreedyRouter, RouteRecord};
 use crate::objective::ScoreKernel;
-use crate::observe::RouteObserver;
+use crate::observe::NoopObserver;
 use crate::router::RouteScratch;
 
-/// The greedy argmax over one neighbor list, scored blockwise (see
-/// [`fold_scored`]).
-#[inline]
-fn best_of_list<K: ScoreKernel>(kernel: &K, neighbors: &[NodeId]) -> Option<(f64, NodeId)> {
-    let mut best = None;
-    fold_scored(kernel, neighbors, &mut best);
-    best
-}
-
-/// Greedy routing (Algorithm 1) over any [`AdjacencyView`].
-///
-/// Same protocol, same step cap, same observer events, and bitwise the
-/// same routes as [`GreedyRouter`](crate::GreedyRouter) — only the
-/// adjacency access is abstracted, so the view may decode neighbor lists
-/// on demand from a mapped store instead of holding a decoded CSR.
-#[derive(Clone, Copy, Debug)]
-pub struct ViewRouter {
-    max_steps: usize,
-}
-
-impl ViewRouter {
-    /// Creates the router with the default step cap.
-    pub fn new() -> Self {
-        ViewRouter {
-            max_steps: DEFAULT_MAX_STEPS,
-        }
-    }
-
-    /// Creates the router with an explicit step cap.
-    pub fn with_max_steps(max_steps: usize) -> Self {
-        ViewRouter { max_steps }
-    }
-
-    /// Routes from `s` towards the kernel's target over `view`.
-    pub fn route_view<V, K, Obs>(
-        &self,
-        view: &mut V,
-        kernel: &K,
-        s: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord
-    where
-        V: AdjacencyView,
-        K: ScoreKernel,
-        Obs: RouteObserver,
-    {
-        let t = kernel.target();
-        obs.on_start(s, t);
-        let mut path = scratch.take_path();
-        path.push(s);
-        let mut current = s;
-        let mut current_score = kernel.score(s);
-        loop {
-            if current == t {
-                obs.on_finish(RouteOutcome::Delivered, path.len() - 1);
-                return RouteRecord {
-                    outcome: RouteOutcome::Delivered,
-                    path,
-                };
-            }
-            if path.len() > self.max_steps {
-                obs.on_finish(RouteOutcome::MaxStepsExceeded, path.len() - 1);
-                return RouteRecord {
-                    outcome: RouteOutcome::MaxStepsExceeded,
-                    path,
-                };
-            }
-            match view.with_neighbors(current, |ns| best_of_list(kernel, ns)) {
-                Some((score, u)) if score > current_score => {
-                    obs.on_hop(u, score);
-                    path.push(u);
-                    current = u;
-                    current_score = score;
-                }
-                _ => {
-                    obs.on_dead_end(current);
-                    obs.on_finish(RouteOutcome::DeadEnd, path.len() - 1);
-                    return RouteRecord {
-                        outcome: RouteOutcome::DeadEnd,
-                        path,
-                    };
-                }
-            }
-        }
-    }
-
-    /// Convenience wrapper: no observer, fresh scratch.
-    pub fn route_view_quiet<V, K>(&self, view: &mut V, kernel: &K, s: NodeId) -> RouteRecord
-    where
-        V: AdjacencyView,
-        K: ScoreKernel,
-    {
-        self.route_view(
-            view,
-            kernel,
-            s,
-            &mut crate::observe::NoopObserver,
-            &mut RouteScratch::new(),
-        )
-    }
-}
-
-impl Default for ViewRouter {
-    fn default() -> Self {
-        ViewRouter::new()
-    }
-}
+/// The view-routing entry points are [`GreedyRouter::route_view`] and
+/// [`GreedyRouter::route_view_quiet`]; this name is kept for callers that
+/// spell the router after what it routes over.
+pub type ViewRouter = GreedyRouter;
 
 /// One shard of a partitioned graph, as seen by [`route_sharded`]: the
 /// contiguous global id range `start..end`, a view of the shard-local
@@ -233,15 +116,15 @@ fn best_neighbor_sharded<V: AdjacencyView, K: ScoreKernel>(
     })
 }
 
-/// Greedy routing across a shard partition with explicit handoff: the
-/// packet routes within the owning shard's local adjacency until the best
-/// neighbor is (or crosses into) another shard, then hands off via the
-/// boundary table.
+/// Greedy routing across a shard partition with explicit handoff: each
+/// hop's argmax is taken in the current vertex's owner shard, over its
+/// local adjacency plus its boundary table.
 ///
 /// The returned route is **bitwise identical** (path, outcome, hop count)
 /// to routing on the assembled global graph, for any shard count — the
 /// per-hop argmax merges local and boundary neighbors in exactly the
-/// global adjacency order.
+/// global adjacency order. `handoffs` counts the hops whose endpoints have
+/// different owners.
 ///
 /// # Panics
 ///
@@ -257,62 +140,31 @@ where
     V: AdjacencyView,
     K: ScoreKernel,
 {
-    let t = kernel.target();
-    let mut path = Vec::new();
-    path.push(s);
-    let mut current = s;
-    let mut shard_idx = owner(shards, s.raw());
-    let mut current_score = kernel.score(s);
-    let mut handoffs = 0u64;
-    loop {
-        if current == t {
-            return ShardedRoute {
-                record: RouteRecord {
-                    outcome: RouteOutcome::Delivered,
-                    path,
-                },
-                handoffs,
-            };
-        }
-        if path.len() > max_steps {
-            return ShardedRoute {
-                record: RouteRecord {
-                    outcome: RouteOutcome::MaxStepsExceeded,
-                    path,
-                },
-                handoffs,
-            };
-        }
-        match best_neighbor_sharded(&mut shards[shard_idx], kernel, current.raw()) {
-            Some((score, u)) if score > current_score => {
-                path.push(u);
-                current = u;
-                current_score = score;
-                let next_idx = owner(shards, u.raw());
-                if next_idx != shard_idx {
-                    handoffs += 1;
-                    shard_idx = next_idx;
-                }
-            }
-            _ => {
-                return ShardedRoute {
-                    record: RouteRecord {
-                        outcome: RouteOutcome::DeadEnd,
-                        path,
-                    },
-                    handoffs,
-                };
-            }
-        }
-    }
+    let best_neighbor = |v: NodeId| {
+        let shard = owner(shards, v.raw());
+        best_neighbor_sharded(&mut shards[shard], kernel, v.raw())
+    };
+    let record = GreedyRouter::with_max_steps(max_steps).route_by(
+        kernel,
+        s,
+        best_neighbor,
+        &mut NoopObserver,
+        &mut RouteScratch::new(),
+    );
+    let handoffs = record
+        .path
+        .windows(2)
+        .filter(|hop| owner(shards, hop[0].raw()) != owner(shards, hop[1].raw()))
+        .count() as u64;
+    ShardedRoute { record, handoffs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::RouteOutcome;
     use crate::objective::{GirgObjective, Objective};
     use crate::router::Router;
-    use crate::GreedyRouter;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use smallworld_graph::Graph;

@@ -74,7 +74,7 @@ impl<S: Fn(NodeId, NodeId) -> f64> HopScore for S {
 /// Everything a node is allowed to see when forwarding a packet: itself,
 /// the packet's target, its live neighbors, the virtual clock, and the
 /// hop count so far. Deliberately *no* graph handle — locality is
-/// structural, as in `smallworld-core`'s `LocalView`.
+/// structural: a policy cannot reach beyond one hop.
 #[derive(Clone, Copy, Debug)]
 pub struct HopView<'a> {
     /// The node holding the packet.

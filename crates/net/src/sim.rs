@@ -32,8 +32,9 @@
 //!   latency distribution, O(in-flight) memory; the only sane mode at
 //!   tens of millions of packets.
 //! * [`Simulation::run_local`] — strictly serial records, with no
-//!   `Sync`/`Send` bounds on the policy; for single-packet wrappers
-//!   around non-thread-safe policies.
+//!   `Sync`/`Send` bounds on the policy or latency model; for callers
+//!   that already run one simulation per worker thread, or whose policy
+//!   is not thread-safe.
 
 use smallworld_graph::{Graph, NodeId};
 use smallworld_obs::{HdrSnapshot, Span};
@@ -565,33 +566,6 @@ impl<'g, P: HopPolicy> Simulation<'g, P, UnitLatency> {
 }
 
 impl<'g, P: HopPolicy, L: LatencyModel> Simulation<'g, P, L> {
-    /// Replaces the latency model.
-    #[deprecated(note = "assemble with SimBuilder::latency, which validates in build()")]
-    pub fn with_latency<L2: LatencyModel>(self, latency: L2) -> Simulation<'g, P, L2> {
-        Simulation {
-            graph: self.graph,
-            policy: self.policy,
-            latency,
-            faults: self.faults,
-            config: self.config,
-            shards: self.shards,
-        }
-    }
-
-    /// Replaces the fault plan.
-    #[deprecated(note = "assemble with SimBuilder::faults, which validates in build()")]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Replaces the configuration.
-    #[deprecated(note = "assemble with SimBuilder::config, which validates in build()")]
-    pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// The configuration in effect.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -688,10 +662,13 @@ impl<'g, P: HopPolicy, L: LatencyModel> Simulation<'g, P, L> {
         }
     }
 
-    /// Strictly serial [`run`](Self::run) with no thread-safety bounds:
-    /// the escape hatch for policies with interior mutability (e.g.
-    /// `Cell`-based instrumentation) that cannot cross threads. Produces
-    /// exactly what `run` produces for the same inputs.
+    /// Strictly serial [`run`](Self::run) with no thread-safety bounds.
+    ///
+    /// For callers that parallelize *across* simulations (e.g. one
+    /// repetition per pool worker) and would gain nothing from sharding,
+    /// and for policies whose scorer is not `Sync`, such as a prepared
+    /// objective over a generic borrowed model. Produces exactly what
+    /// `run` produces for the same inputs.
     pub fn run_local<W: Workload>(&self, workload: W) -> SimReport {
         let _span = Span::enter("net.run");
         Self::report(run_serial(&self.engine(), workload, true))
@@ -1139,21 +1116,6 @@ mod tests {
             mk().latency(ZeroLatency).build().err(),
             Some(SimBuildError::ZeroMinLatency)
         );
-    }
-
-    #[test]
-    fn deprecated_setters_still_work() {
-        #![allow(deprecated)]
-        let g = path_graph(4);
-        let cfg = SimConfig {
-            ttl: 2,
-            ..SimConfig::default()
-        };
-        let sim = Simulation::new(&g, GreedyPolicy::new(id_score))
-            .with_faults(FaultPlan::none())
-            .with_config(cfg);
-        let report = sim.run(SliceWorkload::new(&[inject(0, 3, 0)]));
-        assert_eq!(report.packets[0].outcome, PacketOutcome::Expired);
     }
 
     #[test]

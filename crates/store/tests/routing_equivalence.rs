@@ -1,8 +1,8 @@
 //! Greedy routes on a store-loaded graph are bitwise those of the freshly
 //! sampled graph — outcome and full hop path — across every scoring path:
-//! the point-based objective, the packed objective scoring straight off the
-//! store's flat geometry sections, and the edge-packed routing index, on
-//! both the whole loaded graph and the shard-assembled one.
+//! the point-based objective and the packed objective scoring straight off
+//! the store's flat geometry sections, on both the whole loaded graph and
+//! the shard-assembled one.
 //!
 //! This is the load-path extension of `smallworld-core`'s
 //! `kernel_equivalence` suite: it pins that persistence is invisible to
@@ -11,10 +11,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smallworld_core::{
-    GirgObjective, GreedyRouter, Objective, PackedGirgObjective, RouteRecord, RoutingIndex,
-};
-use smallworld_core::{IndexedGirgObjective, Router};
+use smallworld_core::{GirgObjective, GreedyRouter, Objective, PackedGirgObjective, RouteRecord};
+use smallworld_core::Router;
 use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_store::GraphStore;
@@ -79,12 +77,7 @@ fn store_loaded_routes_are_bitwise_identical() {
         PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
     assert_eq!(routes(&graph, &packed, &pairs), reference);
 
-    // 3. loaded GIRG behind the edge-packed routing index
-    let index = RoutingIndex::for_girg(&loaded);
-    let indexed = IndexedGirgObjective::new(GirgObjective::new(&loaded), &index);
-    assert_eq!(routes(loaded.graph(), &indexed, &pairs), reference);
-
-    // 4. shard-assembled graph, both objectives
+    // 3. shard-assembled graph, both objectives
     let assembled = store.load_shards().unwrap().assemble().unwrap();
     assert_eq!(assembled, *girg.graph());
     assert_eq!(routes(&assembled, &GirgObjective::new(&loaded), &pairs), reference);

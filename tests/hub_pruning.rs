@@ -1,14 +1,17 @@
 //! Hub block pruning changes no route: on a Morton-relabeled GIRG the
-//! pruned in-RAM greedy router, the full-scan naive objective and the
-//! decode-free router over the saved `.swg` store walk the same paths.
+//! pruned in-RAM greedy router, the full-scan naive objective, the
+//! decode-free router over the saved `.swg` store and the shard-local
+//! router over the store's four shards walk the same paths.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use smallworld::core::greedy::DEFAULT_MAX_STEPS;
 use smallworld::core::{
-    GirgObjective, GreedyRouter, NaiveObjective, Objective, PackedGirgObjective, Router, ViewRouter,
+    route_sharded, GirgObjective, GreedyRouter, NaiveObjective, Objective, PackedGirgObjective,
+    Router, ShardSlice, ViewRouter,
 };
-use smallworld::graph::NodeId;
+use smallworld::graph::{Graph, NodeId};
 use smallworld::models::girg::GirgBuilder;
 use smallworld::store::GraphStore;
 
@@ -24,7 +27,7 @@ fn pruned_routes_equal_full_scan_and_mapped_store_routes() {
 
     let path =
         std::env::temp_dir().join(format!("smallworld-hub-pruning-{}.swg", std::process::id()));
-    smallworld::store::save_girg(&girg, &path, 1)
+    smallworld::store::save_girg(&girg, &path, 4)
         .expect("temp dir is writable")
         .expect(".swg path writes the binary store");
     let store = GraphStore::open(&path).expect("own file reopens");
@@ -35,11 +38,36 @@ fn pruned_routes_equal_full_scan_and_mapped_store_routes() {
     let packed =
         PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
     let mut cursor = mapped.cursor();
+    let sharded = store.load_shards().expect("own shards load");
+    let locals: Vec<Graph> = sharded
+        .shards()
+        .iter()
+        .map(|shard| shard.local_graph().expect("local CSR decodes"))
+        .collect();
+    let mut slices: Vec<ShardSlice<'_, &Graph>> = sharded
+        .shards()
+        .iter()
+        .zip(&locals)
+        .map(|(shard, local)| ShardSlice {
+            start: shard.spec().nodes.start,
+            end: shard.spec().nodes.end,
+            local,
+            boundary: shard.boundary(),
+        })
+        .collect();
+    assert_eq!(slices.len(), 4);
+    let owner = |v: NodeId| {
+        sharded
+            .shards()
+            .iter()
+            .position(|shard| shard.spec().nodes.contains(&v.raw()))
+            .expect("the shards tile the vertex range")
+    };
 
     let pruned = GirgObjective::new(&girg);
     let naive = NaiveObjective(GirgObjective::new(&girg));
     let router = GreedyRouter::new();
-    let (mut scored, mut slots, mut delivered) = (0, 0, 0);
+    let (mut scored, mut slots, mut delivered, mut handoffs) = (0, 0, 0, 0);
     for _ in 0..500 {
         let (s, t) = (
             NodeId::from_index(rng.gen_range(0..n)),
@@ -56,6 +84,15 @@ fn pruned_routes_equal_full_scan_and_mapped_store_routes() {
             ViewRouter::new().route_view_quiet(&mut cursor, &packed.prepare(t), s),
             "{s} -> {t} over the store"
         );
+        let sharded_route = route_sharded(&mut slices, &packed.prepare(t), s, DEFAULT_MAX_STEPS);
+        assert_eq!(sharded_route.record, record, "{s} -> {t} over 4 shards");
+        let owner_changes = record
+            .path
+            .windows(2)
+            .filter(|hop| owner(hop[0]) != owner(hop[1]))
+            .count() as u64;
+        assert_eq!(sharded_route.handoffs, owner_changes, "{s} -> {t} handoffs");
+        handoffs += sharded_route.handoffs;
         delivered += usize::from(record.is_success());
         let kernel = pruned.prepare(t);
         for &v in &record.path[..record.path.len() - 1] {
@@ -65,6 +102,7 @@ fn pruned_routes_equal_full_scan_and_mapped_store_routes() {
     }
     std::fs::remove_file(&path).ok();
     assert!(delivered > 100, "only {delivered} of 500 routes delivered");
+    assert!(handoffs > 0, "no route crossed a shard boundary");
     assert!(
         5 * scored < slots,
         "pruning scored {scored} of {slots} slots"
