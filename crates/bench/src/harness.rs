@@ -573,10 +573,9 @@ impl<'a> TrialBatch<'a> {
     /// `(master_seed, i)` alone, so results are independent of both the
     /// thread count and the chunking.
     ///
-    /// Each chunk draws all of its endpoint pairs up front and prepares the
-    /// targets in one [`Objective::prepare_batch`] call; the routing loop
-    /// then runs over the prepared kernels via [`Router::route_prepared`],
-    /// amortizing per-target setup without touching the trial RNG stream.
+    /// Each chunk draws all of its endpoint pairs up front
+    /// ([`draw_trial_pairs`]), then routes them one by one through
+    /// [`Router::route_with`].
     fn run_chunked<R, O>(
         &self,
         router: &R,
@@ -607,7 +606,7 @@ impl<'a> TrialBatch<'a> {
             let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
             let mut out = Vec::with_capacity(range.len());
             let mut stretches = StretchBatch::new(self.measure_stretch);
-            // phase 1: draw every trial's endpoints from its own seeded RNG
+            // every trial's endpoints come from its own seeded RNG
             let endpoints = draw_trial_pairs(
                 n,
                 range.clone(),
@@ -615,12 +614,8 @@ impl<'a> TrialBatch<'a> {
                 self.id_map,
                 self.connected_only.then_some(self.components),
             );
-            // phase 2: prepare all targets at once, then route each trial
-            // against its prepared kernel
-            let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));
-            for (k, &(s, t)) in endpoints.iter().enumerate() {
-                let record =
-                    router.route_prepared(self.graph, prepared.kernel(k), s, &mut obs, &mut scratch);
+            for &(s, t) in &endpoints {
+                let record = router.route_with(self.graph, objective, s, t, &mut obs, &mut scratch);
                 if record.is_success() {
                     hop_hdr.record(record.hops() as u64);
                 }
@@ -858,7 +853,7 @@ mod tests {
         assert_eq!(plain, fast);
     }
 
-    /// The batched prepare-then-route path is thread-count invariant over
+    /// The chunked draw-then-route driver is thread-count invariant over
     /// the hub-pruned kernel of a Morton-relabeled GIRG: 1, 2, and 8 worker
     /// threads must produce bitwise-identical records (the per-trial RNG
     /// seeding makes the pair sequence independent of chunking).

@@ -4,10 +4,11 @@
 //! [`MappedGraph`]: trial `i`'s endpoint pair and route are the same pure
 //! function of `(store, master_seed, i)` that the decoded batch computes —
 //! the same connected-only endpoint draw ([`draw_trial_pairs`]) and the
-//! same first-best argmax (the packed φ kernel is bitwise the point
-//! kernel, and [`GreedyRouter::route_view`] runs the identical greedy
-//! loop) — so the outcome vector equals the decoded run's
-//! element for element while the adjacency never leaves the mmap. Both
+//! same first-best argmax ([`PackedGirgObjective`] prepares the same
+//! `GirgHopKernel` as the in-RAM objective, and
+//! [`GreedyRouter::route_view`] runs the identical greedy loop) — so the
+//! outcome vector equals the decoded run's element for element while the
+//! adjacency never leaves the mmap. Both
 //! `girg_gen --mapped` and `bench_store`'s throughput comparison route
 //! through this one function, and `bench_store` asserts the equality.
 
@@ -71,10 +72,10 @@ pub fn mapped_trials<const D: usize>(
         let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
         let router = GreedyRouter::new();
         let endpoints = draw_trial_pairs(n, range.clone(), master_seed, None, Some(comps));
-        let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));
         let mut out = Vec::with_capacity(range.len());
-        for (k, &(s, _)) in endpoints.iter().enumerate() {
-            let record = router.route_view(&mut cursor, prepared.kernel(k), s, &mut obs, &mut scratch);
+        for &(s, t) in &endpoints {
+            let kernel = objective.prepare(t);
+            let record = router.route_view(&mut cursor, &kernel, s, &mut obs, &mut scratch);
             if record.is_success() {
                 hop_hdr.record(record.hops() as u64);
             }

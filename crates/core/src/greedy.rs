@@ -132,8 +132,7 @@ impl GreedyRouter {
     /// `best_neighbor(v)` is the per-hop argmax: the first neighbor of `v`
     /// (in adjacency order) with the strictly largest kernel score, or
     /// `None` for an isolated vertex. Every entry point supplies it over its
-    /// own adjacency — [`Router::route_with`](crate::Router::route_with) and
-    /// [`Router::route_prepared`](crate::Router::route_prepared) via
+    /// own adjacency — [`Router::route_with`](crate::Router::route_with) via
     /// [`ScoreKernel::best_neighbor`] on a decoded [`Graph`],
     /// [`GreedyRouter::route_view`] via an [`AdjacencyView`], and
     /// [`route_sharded`](crate::route_sharded) via a local+boundary merge —
@@ -189,7 +188,7 @@ impl GreedyRouter {
     /// The hop argmax scores each list in
     /// [`BLOCK_WIDTH`](crate::block::BLOCK_WIDTH) chunks, bitwise the scalar
     /// fold of [`ScoreKernel::best_neighbor`], so over the same adjacency
-    /// the route equals [`Router::route_prepared`](crate::Router::route_prepared)'s.
+    /// the route equals [`Router::route_with`](crate::Router::route_with)'s.
     pub fn route_view<V, K, Obs>(
         &self,
         view: &mut V,
@@ -239,17 +238,6 @@ impl crate::router::Router for GreedyRouter {
     ) -> RouteRecord {
         let kernel = objective.prepare(t);
         self.route_by(&kernel, s, |v| kernel.best_neighbor(graph, v), obs, scratch)
-    }
-
-    fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
-        &self,
-        graph: &Graph,
-        kernel: &K,
-        s: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord {
-        self.route_by(kernel, s, |v| kernel.best_neighbor(graph, v), obs, scratch)
     }
 }
 

@@ -17,8 +17,9 @@
 //! * [`block`] — the blocked, tie-break-preserving argmax fold that scores
 //!   neighbor lists [`block::BLOCK_WIDTH`] slots at a time.
 //! * [`packed`] — the φ objective over packed (flat `f64`) geometry, as
-//!   exposed by a memory-mapped `smallworld-store` file: same bitwise
-//!   scores, zero geometry copies.
+//!   exposed by a memory-mapped `smallworld-store` file: a zero-copy
+//!   [`Point`](smallworld_geometry::Point) view scored by the same
+//!   [`GirgHopKernel`] as in-RAM geometry.
 //! * [`view_route`] — greedy routing over an adjacency *view*
 //!   (`smallworld_graph::AdjacencyView`): decode-free routing straight off
 //!   a memory-mapped store, plus shard-local routing with explicit
@@ -77,12 +78,12 @@ pub use lookahead::LookaheadRouter;
 pub use observe::{NoopObserver, RouteObserver};
 pub use observers::{CountingObserver, MetricsRouteObserver};
 pub use objective::{
-    DistanceHopKernel, DistanceObjective, ForwardKernel, GirgHopKernel, GirgObjective,
-    HyperbolicHopKernel, HyperbolicObjective, KernelObjective, KleinbergHopKernel,
-    KleinbergObjective, NaiveKernel, NaiveObjective, Objective, PreparedBatch, PreparedObjective,
-    QuantizedHopKernel, QuantizedObjective, RelaxedHopKernel, RelaxedObjective, ScoreKernel,
+    DistanceHopKernel, DistanceObjective, GirgHopKernel, GirgObjective, HyperbolicHopKernel,
+    HyperbolicObjective, KleinbergHopKernel, KleinbergObjective, NaiveKernel, NaiveObjective,
+    Objective, PreparedObjective, QuantizedHopKernel, QuantizedObjective, RelaxedHopKernel,
+    RelaxedObjective, ScoreKernel,
 };
-pub use packed::{PackedGirgHopKernel, PackedGirgObjective};
+pub use packed::PackedGirgObjective;
 pub use patching::{GravityPressureRouter, HistoryRouter, PhiDfsRouter};
 pub use router::{RouteScratch, Router, RouterKind};
 pub use stretch::{stretch, stretch_many};

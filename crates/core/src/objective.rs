@@ -59,157 +59,6 @@ pub trait Objective {
     /// loaded once. Implementations with no precomputation to exploit can
     /// use [`NaiveKernel`] via [`crate::impl_naive_kernel!`].
     fn prepare(&self, target: NodeId) -> Self::Kernel<'_>;
-
-    /// Compiles kernels for a whole batch of targets in one pass.
-    ///
-    /// Trial harnesses route many `(source, target)` pairs back to back;
-    /// preparing every target up front amortizes the per-target hoisting
-    /// (position/weight gathers, normalization) across the batch instead of
-    /// interleaving it with routing. `batch.kernel(i)` is the kernel for
-    /// the `i`-th yielded target, each bitwise-identical to
-    /// [`prepare`](Objective::prepare)`(target_i)`.
-    fn prepare_batch<I>(&self, targets: I) -> PreparedBatch<'_, Self>
-    where
-        Self: Sized,
-        I: IntoIterator<Item = NodeId>,
-    {
-        PreparedBatch {
-            kernels: targets.into_iter().map(|t| self.prepare(t)).collect(),
-        }
-    }
-}
-
-/// A batch of prepared per-target kernels — see
-/// [`Objective::prepare_batch`].
-pub struct PreparedBatch<'a, O: Objective + ?Sized + 'a> {
-    kernels: Vec<O::Kernel<'a>>,
-}
-
-impl<'a, O: Objective + ?Sized + 'a> PreparedBatch<'a, O> {
-    /// The kernel prepared for the `i`-th target of the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn kernel(&self, i: usize) -> &O::Kernel<'a> {
-        &self.kernels[i]
-    }
-
-    /// Number of prepared targets.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-}
-
-impl<'a, O: Objective + ?Sized + 'a> fmt::Debug for PreparedBatch<'a, O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PreparedBatch")
-            .field("len", &self.kernels.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Views an already-prepared [`ScoreKernel`] as an [`Objective`], so the
-/// [`Router`](crate::router::Router) machinery can route with a kernel from
-/// a [`PreparedBatch`] without re-preparing per trial.
-///
-/// [`prepare`](Objective::prepare) hands out a zero-cost forwarding kernel
-/// and must be called with the wrapped kernel's own target.
-pub struct KernelObjective<'a, K>(&'a K);
-
-impl<'a, K: ScoreKernel> KernelObjective<'a, K> {
-    /// Wraps a prepared kernel.
-    pub fn new(kernel: &'a K) -> Self {
-        KernelObjective(kernel)
-    }
-}
-
-impl<K> Clone for KernelObjective<'_, K> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<K> Copy for KernelObjective<'_, K> {}
-
-impl<K: ScoreKernel> fmt::Debug for KernelObjective<'_, K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("KernelObjective")
-            .field("target", &self.0.target())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: ScoreKernel> Objective for KernelObjective<'_, K> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        debug_assert_eq!(
-            target,
-            self.0.target(),
-            "kernel was prepared for a different target"
-        );
-        self.0.score(v)
-    }
-
-    type Kernel<'k>
-        = ForwardKernel<'k, K>
-    where
-        Self: 'k;
-
-    fn prepare(&self, target: NodeId) -> Self::Kernel<'_> {
-        assert_eq!(
-            target,
-            self.0.target(),
-            "kernel was prepared for a different target"
-        );
-        ForwardKernel(self.0)
-    }
-}
-
-/// Kernel of [`KernelObjective`]: forwards every call — including the
-/// blocked and argmax fast paths — to the wrapped kernel.
-pub struct ForwardKernel<'k, K>(&'k K);
-
-impl<K> Clone for ForwardKernel<'_, K> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<K> Copy for ForwardKernel<'_, K> {}
-
-impl<K: ScoreKernel> fmt::Debug for ForwardKernel<'_, K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ForwardKernel")
-            .field("target", &self.0.target())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: ScoreKernel> ScoreKernel for ForwardKernel<'_, K> {
-    fn target(&self) -> NodeId {
-        self.0.target()
-    }
-
-    #[inline]
-    fn score(&self, v: NodeId) -> f64 {
-        self.0.score(v)
-    }
-
-    #[inline]
-    fn score_block(&self, vs: &[NodeId], out: &mut [f64]) {
-        self.0.score_block(vs, out);
-    }
-
-    #[inline]
-    fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
-        self.0.best_neighbor(graph, v)
-    }
 }
 
 /// A routing objective specialized to one target: the hop-loop view of an
@@ -228,9 +77,10 @@ pub trait ScoreKernel {
     ///
     /// The default is the scalar loop. Kernels whose score is a short
     /// branch-light f64 chain override it with loops the compiler can
-    /// unroll and vectorize across slots (see [`crate::block`] for the
-    /// SoA-lane variants the indexed kernels use). `out` must be at least
-    /// as long as `vs`; slots past `vs.len()` are left untouched.
+    /// unroll and vectorize across slots; the blocked argmax fold of
+    /// [`crate::block`] feeds it [`BLOCK_WIDTH`](crate::block::BLOCK_WIDTH)
+    /// slots at a time. `out` must be at least as long as `vs`; slots past
+    /// `vs.len()` are left untouched.
     #[inline]
     fn score_block(&self, vs: &[NodeId], out: &mut [f64]) {
         debug_assert!(out.len() >= vs.len());
@@ -243,10 +93,10 @@ pub trait ScoreKernel {
     /// adjacency order) attaining the strictly largest score, or `None` for
     /// an isolated vertex.
     ///
-    /// The default implementation scans [`Graph::neighbors`]; kernels backed
-    /// by an edge-packed index (see `crate::index`) override it with a
-    /// sequential sweep that performs no random gathers. Overrides must
-    /// preserve first-best-in-adjacency-order semantics bitwise.
+    /// The default implementation scans [`Graph::neighbors`];
+    /// [`GirgHopKernel`] overrides it to skip hub blocks that cannot hold
+    /// the argmax. Overrides must preserve first-best-in-adjacency-order
+    /// semantics bitwise.
     #[inline]
     fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
         let mut best: Option<(f64, NodeId)> = None;
@@ -528,11 +378,11 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
 /// kernels such as `smallworld_models::GirgKernel`.)
 #[derive(Clone, Copy, Debug)]
 pub struct GirgHopKernel<'k, const D: usize> {
-    pub(crate) positions: &'k [Point<D>],
-    pub(crate) weights: &'k [f64],
-    pub(crate) norm: f64,
-    pub(crate) target: NodeId,
-    pub(crate) target_pos: Point<D>,
+    positions: &'k [Point<D>],
+    weights: &'k [f64],
+    norm: f64,
+    target: NodeId,
+    target_pos: Point<D>,
     girg: Option<&'k Girg<D>>,
 }
 
@@ -540,7 +390,7 @@ impl<'k, const D: usize> GirgHopKernel<'k, D> {
     /// φ without the `v == target` short-circuit; identical op order to
     /// [`GirgObjective::phi`] so results agree bitwise.
     #[inline]
-    pub(crate) fn phi(&self, v: NodeId) -> f64 {
+    fn phi(&self, v: NodeId) -> f64 {
         let dist_pow_d = self.positions[v.index()].distance_pow_d(&self.target_pos);
         if dist_pow_d == 0.0 {
             f64::INFINITY

@@ -1,28 +1,26 @@
-//! Objectives that score straight off packed (flat `f64`) geometry.
+//! The φ objective over packed (flat `f64`) geometry.
 //!
 //! The on-disk store (`smallworld-store`) keeps vertex positions as one flat
 //! little-endian `f64` array of length `n · d` and weights as a plain `f64`
-//! array — the natural zero-copy view of a memory-mapped file. Rebuilding
-//! `Vec<Point<D>>` from those sections just to construct a
-//! [`GirgObjective`](crate::GirgObjective) would copy the whole geometry and
-//! double the resident set; [`PackedGirgObjective`] instead borrows the flat
-//! slices directly and materializes each `Point` in registers at score time.
-//!
-//! Scores are **bitwise identical** to [`GirgObjective`](crate::GirgObjective):
-//! the op order of φ is replicated exactly, and reconstructing a point from
-//! its canonical coordinates (`0.0 ≤ c < 1.0`, which the store validates on
-//! load) is the identity — [`Point::new`]'s torus wrap maps canonical
-//! coordinates to themselves bit for bit.
+//! array — the natural zero-copy view of a memory-mapped file. Those bytes
+//! are exactly a `[Point<D>]` (`Point` is `repr(transparent)` over
+//! `[f64; D]`), so [`PackedGirgObjective`] views them in place with
+//! [`Point::from_flat`] and scores through [`GirgObjective`]'s own
+//! [`GirgHopKernel`]: one φ kernel for in-RAM and mapped geometry, and no
+//! copy of the geometry.
 
 use smallworld_geometry::Point;
 use smallworld_graph::NodeId;
 
-use crate::objective::{Objective, ScoreKernel};
+use crate::objective::{GirgHopKernel, GirgObjective, Objective};
 
 /// The paper's objective `φ(v) = w_v / (w_min · n · ‖x_v − x_t‖^d)` (§2.2),
 /// evaluated over packed geometry: a flat `f64` position array (`n · d`
 /// entries, vertex-major) and a weight array, as exposed by a mapped
 /// `.swg` store.
+///
+/// It is [`GirgObjective::from_parts`] over the viewed points, so its
+/// kernel is [`GirgHopKernel`].
 ///
 /// # Examples
 ///
@@ -38,22 +36,7 @@ use crate::objective::{Objective, ScoreKernel};
 /// assert!(obj.score(NodeId::new(0), NodeId::new(1)) > 0.0);
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct PackedGirgObjective<'a, const D: usize> {
-    positions: &'a [f64],
-    weights: &'a [f64],
-    norm: f64,
-}
-
-/// Loads vertex `v`'s position out of a flat vertex-major array.
-///
-/// Canonical coordinates pass through [`Point::new`]'s wrap unchanged, so
-/// this reproduces the original `Point` bitwise.
-#[inline]
-fn unpack<const D: usize>(positions: &[f64], v: usize) -> Point<D> {
-    let mut coords = [0.0f64; D];
-    coords.copy_from_slice(&positions[v * D..v * D + D]);
-    Point::new(coords)
-}
+pub struct PackedGirgObjective<'a, const D: usize>(GirgObjective<'a, D>);
 
 impl<'a, const D: usize> PackedGirgObjective<'a, D> {
     /// Creates the objective over packed geometry with normalization
@@ -61,115 +44,39 @@ impl<'a, const D: usize> PackedGirgObjective<'a, D> {
     ///
     /// # Panics
     ///
-    /// Panics if `positions.len() != weights.len() * D` or the
-    /// normalization is not positive.
+    /// Panics if `positions.len() != weights.len() * D`, a coordinate is
+    /// not canonical (`0.0 <= c < 1.0`), or the normalization is not
+    /// positive.
     pub fn new(positions: &'a [f64], weights: &'a [f64], wmin_times_n: f64) -> Self {
         assert_eq!(
             positions.len(),
             weights.len() * D,
             "positions must hold D coordinates per vertex"
         );
-        assert!(wmin_times_n > 0.0, "normalization must be positive");
-        PackedGirgObjective {
-            positions,
-            weights,
-            norm: wmin_times_n,
-        }
-    }
-
-    /// Number of vertices the objective covers.
-    pub fn node_count(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// The raw φ value (same as [`Objective::score`] without the
-    /// `v == target` short-circuit).
-    pub fn phi(&self, v: NodeId, target: NodeId) -> f64 {
-        let target_pos = unpack::<D>(self.positions, target.index());
-        let dist_pow_d = unpack::<D>(self.positions, v.index()).distance_pow_d(&target_pos);
-        if dist_pow_d == 0.0 {
-            f64::INFINITY
-        } else {
-            self.weights[v.index()] / (self.norm * dist_pow_d)
-        }
+        let points = Point::from_flat(positions).expect("positions must be canonical coordinates");
+        PackedGirgObjective(GirgObjective::from_parts(points, weights, wmin_times_n))
     }
 }
 
 impl<const D: usize> Objective for PackedGirgObjective<'_, D> {
     fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        if v == target {
-            return f64::INFINITY;
-        }
-        self.phi(v, target)
+        self.0.score(v, target)
     }
 
     type Kernel<'k>
-        = PackedGirgHopKernel<'k, D>
+        = GirgHopKernel<'k, D>
     where
         Self: 'k;
 
     fn prepare(&self, target: NodeId) -> Self::Kernel<'_> {
-        PackedGirgHopKernel {
-            positions: self.positions,
-            weights: self.weights,
-            norm: self.norm,
-            target,
-            target_pos: unpack::<D>(self.positions, target.index()),
-        }
-    }
-}
-
-/// Prepared kernel of [`PackedGirgObjective`] with the target position
-/// hoisted into a register copy.
-#[derive(Clone, Copy, Debug)]
-pub struct PackedGirgHopKernel<'k, const D: usize> {
-    positions: &'k [f64],
-    weights: &'k [f64],
-    norm: f64,
-    target: NodeId,
-    target_pos: Point<D>,
-}
-
-impl<const D: usize> ScoreKernel for PackedGirgHopKernel<'_, D> {
-    fn target(&self) -> NodeId {
-        self.target
-    }
-
-    #[inline]
-    fn score(&self, v: NodeId) -> f64 {
-        if v == self.target {
-            return f64::INFINITY;
-        }
-        let dist_pow_d = unpack::<D>(self.positions, v.index()).distance_pow_d(&self.target_pos);
-        if dist_pow_d == 0.0 {
-            f64::INFINITY
-        } else {
-            self.weights[v.index()] / (self.norm * dist_pow_d)
-        }
-    }
-
-    #[inline]
-    fn score_block(&self, vs: &[NodeId], out: &mut [f64]) {
-        debug_assert!(out.len() >= vs.len());
-        // Same per-slot chain as `score`, with the target check as a final
-        // select so the gathers and divides pipeline across slots.
-        for (o, &v) in out.iter_mut().zip(vs) {
-            let dist_pow_d =
-                unpack::<D>(self.positions, v.index()).distance_pow_d(&self.target_pos);
-            let s = if dist_pow_d == 0.0 {
-                f64::INFINITY
-            } else {
-                self.weights[v.index()] / (self.norm * dist_pow_d)
-            };
-            *o = if v == self.target { f64::INFINITY } else { s };
-        }
+        self.0.prepare(target)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GirgObjective;
+    use crate::{GirgObjective, ScoreKernel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smallworld_models::girg::{Girg, GirgBuilder};
@@ -225,6 +132,14 @@ mod tests {
                 reference.score(v, t).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn flat_positions_view_back_as_the_girg_points() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let girg: Girg<2> = GirgBuilder::new(300).sample(&mut rng).unwrap();
+        let flat = pack(&girg);
+        assert_eq!(Point::<2>::from_flat(&flat), Some(girg.positions()));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use smallworld_graph::{Graph, NodeId};
 
 use crate::greedy::{GreedyRouter, RouteRecord};
 use crate::lookahead::LookaheadRouter;
-use crate::objective::{KernelObjective, Objective, ScoreKernel};
+use crate::objective::{Objective, ScoreKernel};
 use crate::observe::{NoopObserver, RouteObserver};
 use crate::patching::{GravityPressureRouter, HistoryRouter, PhiDfsRouter};
 
@@ -122,32 +122,6 @@ pub trait Router {
         scratch: &mut RouteScratch,
     ) -> RouteRecord;
 
-    /// Routes a packet from `s` to `kernel.target()` with an
-    /// already-prepared [`ScoreKernel`] — the batched-trial fast path (see
-    /// [`Objective::prepare_batch`]).
-    ///
-    /// Behaves exactly like [`route_with`](Router::route_with) towards the
-    /// kernel's target: same records bitwise, same observer events. The
-    /// default wraps the kernel in a [`KernelObjective`], whose forwarding
-    /// kernel monomorphizes away; the hot-loop routers override this to
-    /// enter their kernel-level loop directly.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `s` or the kernel's target is out of range
-    /// for `graph`.
-    fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
-        &self,
-        graph: &Graph,
-        kernel: &K,
-        s: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord {
-        let target = kernel.target();
-        self.route_with(graph, &KernelObjective::new(kernel), s, target, obs, scratch)
-    }
-
     /// Routes a packet from `s` to `t`, reporting per-hop events to `obs`.
     ///
     /// # Panics
@@ -221,23 +195,6 @@ impl Router for RouterKind {
             RouterKind::PhiDfs(r) => r.route_with(graph, objective, s, t, obs, scratch),
             RouterKind::History(r) => r.route_with(graph, objective, s, t, obs, scratch),
             RouterKind::GravityPressure(r) => r.route_with(graph, objective, s, t, obs, scratch),
-        }
-    }
-
-    fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
-        &self,
-        graph: &Graph,
-        kernel: &K,
-        s: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord {
-        match self {
-            RouterKind::Greedy(r) => r.route_prepared(graph, kernel, s, obs, scratch),
-            RouterKind::Lookahead(r) => r.route_prepared(graph, kernel, s, obs, scratch),
-            RouterKind::PhiDfs(r) => r.route_prepared(graph, kernel, s, obs, scratch),
-            RouterKind::History(r) => r.route_prepared(graph, kernel, s, obs, scratch),
-            RouterKind::GravityPressure(r) => r.route_prepared(graph, kernel, s, obs, scratch),
         }
     }
 }
@@ -321,39 +278,6 @@ mod tests {
                     );
                     assert_eq!(fresh, reused, "{}: {s}->{t}", kind.name());
                     scratch.recycle(reused.path);
-                }
-            }
-        }
-    }
-
-    /// `route_prepared` with a batch-prepared kernel must return the same
-    /// record as `route_with` preparing per call, for every router.
-    #[test]
-    fn route_prepared_matches_route_with() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let graph = random_graph(&mut rng, 12, 0.25);
-        let targets: Vec<NodeId> = (0..12u32).map(NodeId::new).collect();
-        let batch = IdObjective.prepare_batch(targets.iter().copied());
-        for kind in [
-            RouterKind::Greedy(GreedyRouter::new()),
-            RouterKind::Lookahead(LookaheadRouter::new()),
-            RouterKind::PhiDfs(PhiDfsRouter::new()),
-            RouterKind::History(HistoryRouter::new()),
-            RouterKind::GravityPressure(GravityPressureRouter::new()),
-        ] {
-            let mut scratch = RouteScratch::new();
-            for s in 0..12u32 {
-                for (i, &t) in targets.iter().enumerate() {
-                    let s = NodeId::new(s);
-                    let plain = kind.route_quiet(&graph, &IdObjective, s, t);
-                    let prepared = kind.route_prepared(
-                        &graph,
-                        batch.kernel(i),
-                        s,
-                        &mut NoopObserver,
-                        &mut scratch,
-                    );
-                    assert_eq!(plain, prepared, "{}: {s}->{t}", kind.name());
                 }
             }
         }

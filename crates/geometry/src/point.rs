@@ -83,6 +83,7 @@ pub fn axis_distance(a: f64, b: f64) -> f64 {
 /// assert!((p.distance(&q) - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Clone, Copy, PartialEq)]
+#[repr(transparent)]
 pub struct Point<const D: usize> {
     coords: [f64; D],
 }
@@ -107,6 +108,32 @@ impl<const D: usize> Point<D> {
             *w = wrap(c);
         }
         Point { coords: wrapped }
+    }
+
+    /// Views a flat vertex-major coordinate array (`D` entries per point)
+    /// as points, without copying.
+    ///
+    /// Returns `None` unless `flat.len()` is a multiple of `D` and every
+    /// coordinate is canonical (see [`is_canonical`]), so every viewed point
+    /// equals the one [`Point::new`] would build from its coordinates.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use smallworld_geometry::Point;
+    ///
+    /// let points = Point::<2>::from_flat(&[0.25, 0.5, 0.75, 0.0]).unwrap();
+    /// assert_eq!(points, &[Point::new([0.25, 0.5]), Point::new([0.75, 0.0])]);
+    /// assert!(Point::<2>::from_flat(&[0.25, 1.0]).is_none());
+    /// ```
+    pub fn from_flat(flat: &[f64]) -> Option<&[Point<D>]> {
+        if flat.len().checked_rem(D) != Some(0) || !flat.iter().all(|&c| is_canonical(c)) {
+            return None;
+        }
+        // SAFETY: `Point<D>` is `repr(transparent)` over `[f64; D]`, so it has
+        // the size and alignment of `D` consecutive `f64`s; `flat` holds
+        // exactly `flat.len() / D` such runs, every one of them canonical.
+        Some(unsafe { std::slice::from_raw_parts(flat.as_ptr().cast(), flat.len() / D) })
     }
 
     /// The origin `(0, …, 0)`.
@@ -189,6 +216,13 @@ impl<const D: usize> Point<D> {
     }
 }
 
+/// Whether `c` is a canonical torus coordinate, `0.0 <= c < 1.0` (NaN and
+/// infinities are not) — the form [`Point`] keeps its coordinates in.
+#[inline]
+pub fn is_canonical(c: f64) -> bool {
+    (0.0..1.0).contains(&c)
+}
+
 /// Wraps a finite coordinate into `[0,1)`.
 #[inline]
 fn wrap(c: f64) -> f64 {
@@ -251,6 +285,25 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn non_finite_coordinate_panics() {
         let _ = Point::new([f64::NAN]);
+    }
+
+    #[test]
+    fn from_flat_views_canonical_points() {
+        let flat = [0.25, 0.5, 0.0, 0.75, 0.5, 0.125];
+        let points = Point::<2>::from_flat(&flat).unwrap();
+        assert_eq!(points.len(), 3);
+        assert_eq!(points[1], Point::new([0.0, 0.75]));
+        assert_eq!(Point::<3>::from_flat(&flat).unwrap().len(), 2);
+        assert_eq!(Point::<2>::from_flat(&[]), Some(&[][..]));
+    }
+
+    #[test]
+    fn from_flat_rejects_ragged_and_non_canonical_input() {
+        assert!(Point::<2>::from_flat(&[0.25, 0.5, 0.5]).is_none());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0, -0.5] {
+            assert!(Point::<2>::from_flat(&[0.25, bad]).is_none(), "{bad}");
+        }
+        assert!(Point::<0>::from_flat(&[]).is_none());
     }
 
     #[test]

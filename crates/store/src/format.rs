@@ -38,6 +38,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
+use smallworld_geometry::point::is_canonical;
 use smallworld_geometry::Point;
 use smallworld_graph::Graph;
 use smallworld_models::girg::{Girg, GirgParams};
@@ -679,12 +680,18 @@ impl GraphStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if geometry is absent or malformed.
+    /// Returns [`StoreError`] if geometry is absent or malformed, including
+    /// [`StoreError::Corrupt`] for a coordinate outside `[0, 1)` (NaN and
+    /// infinities included).
     pub fn packed_positions(&self) -> Result<Cow<'_, [f64]>, StoreError> {
-        self.f64_section(
-            SectionId::Pos,
-            self.node_count as usize * self.dim as usize,
-        )
+        let positions =
+            self.f64_section(SectionId::Pos, self.node_count as usize * self.dim as usize)?;
+        if let Some(c) = positions.iter().find(|&&c| !is_canonical(c)) {
+            return Err(StoreError::Corrupt(format!(
+                "position coordinate {c} outside the canonical torus"
+            )));
+        }
+        Ok(positions)
     }
 
     /// The packed vertex weights (`node_count` values). Zero-copy when
@@ -692,9 +699,14 @@ impl GraphStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if geometry is absent or malformed.
+    /// Returns [`StoreError`] if geometry is absent or malformed, including
+    /// [`StoreError::Corrupt`] for a non-finite weight.
     pub fn packed_weights(&self) -> Result<Cow<'_, [f64]>, StoreError> {
-        self.f64_section(SectionId::Weight, self.node_count as usize)
+        let weights = self.f64_section(SectionId::Weight, self.node_count as usize)?;
+        if weights.iter().any(|w| !w.is_finite()) {
+            return Err(StoreError::Corrupt("non-finite vertex weight".into()));
+        }
+        Ok(weights)
     }
 
     /// Reassembles the stored GIRG: adjacency, positions, weights, and
@@ -715,23 +727,10 @@ impl GraphStore {
         }
         let graph = self.load_graph()?;
         let flat = self.packed_positions()?;
-        let mut positions = Vec::with_capacity(self.node_count as usize);
-        for chunk in flat.chunks_exact(D) {
-            let mut coords = [0.0f64; D];
-            coords.copy_from_slice(chunk);
-            for &c in &coords {
-                if !(0.0..1.0).contains(&c) {
-                    return Err(StoreError::Corrupt(format!(
-                        "position coordinate {c} outside the canonical torus"
-                    )));
-                }
-            }
-            positions.push(Point::new(coords));
-        }
+        let positions = Point::from_flat(&flat)
+            .expect("packed_positions holds D canonical coordinates per vertex")
+            .to_vec();
         let weights = self.packed_weights()?;
-        if weights.iter().any(|w| !w.is_finite()) {
-            return Err(StoreError::Corrupt("non-finite vertex weight".into()));
-        }
         let (params, planted) = self.params()?;
         if graph.node_count() != self.node_count as usize {
             return Err(StoreError::Corrupt(
@@ -779,6 +778,58 @@ mod tests {
         // standard check value for "123456789"
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Writes a valid two-vertex GIRG store whose POS and WEIGHT sections
+    /// carry `positions` and `weights` verbatim.
+    fn write_geometry(path: &Path, positions: &[f64], weights: &[f64]) {
+        let graph = Graph::from_edges(2, [(0u32, 1u32)]).unwrap();
+        let (compressed, mut sections) = adjacency_sections(&graph);
+        let params = GirgParams {
+            intensity: 2.0,
+            beta: 2.5,
+            wmin: 1.0,
+            alpha: Alpha::Threshold,
+            lambda: 1.0,
+        };
+        let meta = meta_section_bytes(params, 0);
+        let pos = positions.iter().flat_map(|c| c.to_le_bytes()).collect();
+        let weight = weight_section_bytes(weights);
+        sections.extend([
+            (SectionId::Meta, SectionSource::Bytes(meta)),
+            (SectionId::Pos, SectionSource::Bytes(pos)),
+            (SectionId::Weight, SectionSource::Bytes(weight)),
+        ]);
+        let targets = compressed.target_count() as u64;
+        write_sections(path, 2, FLAG_GEOMETRY, 2, targets, &sections).unwrap();
+    }
+
+    #[test]
+    fn bad_geometry_is_corrupt_not_a_panic() {
+        let path = std::env::temp_dir().join(format!(
+            "smallworld-store-bad-geometry-{}.swg",
+            std::process::id()
+        ));
+        let good = [0.25, 0.5, 0.75, 0.0];
+        write_geometry(&path, &good, &[1.0, 2.0]);
+        let store = GraphStore::open(&path).unwrap();
+        assert_eq!(&*store.packed_positions().unwrap(), &good);
+        assert!(store.load_girg::<2>().is_ok());
+
+        for (positions, weights) in [
+            ([0.25, f64::NAN, 0.75, 0.0], [1.0, 2.0]),
+            ([0.25, 0.5, 1.0, 0.0], [1.0, 2.0]),
+            (good, [1.0, f64::INFINITY]),
+        ] {
+            write_geometry(&path, &positions, &weights);
+            let store = GraphStore::open(&path).unwrap();
+            let bad_positions = positions != good;
+            let corrupt = |r: Result<_, StoreError>| matches!(r, Err(StoreError::Corrupt(_)));
+            assert_eq!(corrupt(store.packed_positions().map(drop)), bad_positions);
+            assert_eq!(corrupt(store.packed_weights().map(drop)), !bad_positions);
+            assert!(corrupt(store.load_girg::<2>().map(drop)));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
