@@ -21,11 +21,15 @@
 //!    block pruning, decode-free over the mapped store's LRU cursor, the
 //!    eager-decode cursor (A/B), and shard-local with explicit handoff —
 //!    asserting the outcomes are element-for-element identical before
-//!    reporting throughput. The `vs decoded` column is the throughput
-//!    fraction relative to the decoded baseline, which scans every
-//!    neighbor slot like the mapped variants do, so the ratio prices
-//!    decoding alone; `artifact_check` gates the mapped row at >= 0.5x
-//!    at full scale. The `decoded+pruned` row is ungated.
+//!    reporting throughput. The `vs decoded` column is each variant's
+//!    throughput over the `decoded` row's, which scans every neighbor
+//!    slot. `decoded+pruned` and both `mapped` rows skip hub blocks (the
+//!    mapped cursors through the store's HUBS section) and `sharded x8`
+//!    scans in full, so for the pruned rows the ratio is the pruning gain
+//!    net of their adjacency access cost, not the price of decoding;
+//!    `mapped` against `mapped eager` isolates on-demand decoding.
+//!    `artifact_check` gates the mapped row at >= 0.5x at full scale. The
+//!    `decoded+pruned` row is ungated.
 //! 3. **Out-of-core sampling ladder**: each rung re-executes this binary
 //!    as a `--ladder-child` subprocess (peak RSS via `VmHWM` is a
 //!    process-wide high-water mark, so each measurement needs its own
@@ -195,7 +199,8 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
     let pool = Pool::from_env();
 
     // the baseline scans whole lists (`from_parts` carries no hub block
-    // summaries), as the mapped cursors do
+    // summaries); the mapped cursors prune through the store's HUBS
+    // section
     let full_scan = GirgObjective::from_parts(
         girg.positions(),
         girg.weights(),

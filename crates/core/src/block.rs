@@ -6,8 +6,15 @@
 //! (whose overrides are short f64 chains LLVM vectorizes across slots) and
 //! [`fold_first_best`] folds each block into the running argmax, bitwise the
 //! scalar first-best fold of [`ScoreKernel::best_neighbor`].
+//!
+//! A hub's list may come with block summary rows (see
+//! [`HubBlocks`](smallworld_models::girg::HubBlocks)); `fold_pruned`
+//! then skips every [`HUB_BLOCK_SLOTS`]-slot block whose
+//! [`ScoreKernel::block_bound`] cannot beat the running best. The in-RAM
+//! kernel and the decode-free view router both prune through it.
 
 use smallworld_graph::NodeId;
+use smallworld_models::girg::HUB_BLOCK_SLOTS;
 
 use crate::objective::ScoreKernel;
 
@@ -62,6 +69,39 @@ pub(crate) fn fold_scored<K: ScoreKernel>(
     }
 }
 
+/// [`fold_scored`] over a list that may come with one summary row per
+/// [`HUB_BLOCK_SLOTS`]-slot block: blocks are visited in slot order, and a
+/// block whose [`ScoreKernel::block_bound`] is at most the running best is
+/// skipped unscored. Returns the number of slots scored.
+///
+/// The result is bitwise the full fold's: no slot of a skipped block can
+/// *strictly* beat the best, so first-best tie order is kept. Without
+/// rows, or with rows that do not cut into one equal-width row per block,
+/// the whole list is scored.
+#[inline]
+pub(crate) fn fold_pruned<K: ScoreKernel>(
+    kernel: &K,
+    nodes: &[NodeId],
+    rows: Option<&[f64]>,
+    best: &mut Option<(f64, NodeId)>,
+) -> usize {
+    let blocks = nodes.len().div_ceil(HUB_BLOCK_SLOTS);
+    let width = rows.map_or(0, |rows| rows.len() / blocks.max(1));
+    let Some(rows) = rows.filter(|rows| width > 0 && width * blocks == rows.len()) else {
+        fold_scored(kernel, nodes, best);
+        return nodes.len();
+    };
+    let mut scored = 0;
+    for (block, row) in nodes.chunks(HUB_BLOCK_SLOTS).zip(rows.chunks_exact(width)) {
+        if best.is_some_and(|(b, _)| kernel.block_bound(row) <= b) {
+            continue;
+        }
+        fold_scored(kernel, block, best);
+        scored += block.len();
+    }
+    scored
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,5 +126,45 @@ mod tests {
         // strict improvement, just like the scalar sweep would
         fold_first_best(&mut best, &[4.0, 5.5, 6.0, 1.0], &nodes);
         assert_eq!(best, Some((6.0, NodeId::new(2))));
+    }
+
+    /// Scores vertex `v` as `-v`; a row's first value bounds its block.
+    struct Descending;
+
+    impl ScoreKernel for Descending {
+        fn target(&self) -> NodeId {
+            NodeId::new(0)
+        }
+
+        fn score(&self, v: NodeId) -> f64 {
+            -f64::from(v.raw())
+        }
+
+        fn block_bound(&self, row: &[f64]) -> f64 {
+            row[0]
+        }
+    }
+
+    #[test]
+    fn fold_pruned_skips_blocks_that_cannot_beat_the_best() {
+        // 200 slots: blocks of 64, 64, 64 and 8
+        let nodes: Vec<NodeId> = (0..200).map(NodeId::new).collect();
+        let fold = |rows: Option<&[f64]>| {
+            let mut best = None;
+            let scored = fold_pruned(&Descending, &nodes, rows, &mut best);
+            (best, scored)
+        };
+        let full = fold(None);
+        assert_eq!(full, (Some((-0.0, NodeId::new(0))), 200));
+        // the first block is always scored; a bound equal to the best
+        // (-0.0 vs -0.0) is skipped like a lower one
+        assert_eq!(fold(Some(&[0.0, -0.0, -128.0, -192.0])), (full.0, 64));
+        let two_wide = [0.0, 9.0, -1.0, 9.0, -1.0, 9.0, -1.0, 9.0];
+        assert_eq!(fold(Some(&two_wide)), (full.0, 64));
+        // a bound above the best scores the block
+        assert_eq!(fold(Some(&[0.0, 1.0, -1.0, -1.0])), (full.0, 128));
+        // rows that do not cut into one per block bound nothing
+        assert_eq!(fold(Some(&[-1.0, -1.0, -1.0])), full);
+        assert_eq!(fold(Some(&[])), full);
     }
 }

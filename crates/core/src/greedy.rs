@@ -10,7 +10,7 @@
 
 use smallworld_graph::{AdjacencyView, Graph, NodeId};
 
-use crate::block::fold_scored;
+use crate::block::fold_pruned;
 use crate::objective::{Objective, ScoreKernel};
 use crate::observe::{NoopObserver, RouteObserver};
 use crate::router::RouteScratch;
@@ -189,6 +189,11 @@ impl GreedyRouter {
     /// [`BLOCK_WIDTH`](crate::block::BLOCK_WIDTH) chunks, bitwise the scalar
     /// fold of [`ScoreKernel::best_neighbor`], so over the same adjacency
     /// the route equals [`Router::route_with`](crate::Router::route_with)'s.
+    /// When the view hands over block summary rows with a list
+    /// ([`AdjacencyView::with_summarized_neighbors`]), the blocks the
+    /// kernel's [`ScoreKernel::block_bound`] rules out are skipped by the
+    /// same fold the in-RAM φ kernel prunes with; the rows must then
+    /// describe the geometry the kernel scores.
     pub fn route_view<V, K, Obs>(
         &self,
         view: &mut V,
@@ -203,9 +208,9 @@ impl GreedyRouter {
         Obs: RouteObserver,
     {
         let best_neighbor = |v| {
-            view.with_neighbors(v, |ns| {
+            view.with_summarized_neighbors(v, |ns, rows| {
                 let mut best = None;
-                fold_scored(kernel, ns, &mut best);
+                fold_pruned(kernel, ns, rows, &mut best);
                 best
             })
         };

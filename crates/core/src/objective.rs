@@ -32,11 +32,11 @@ use std::hash::{Hash, Hasher};
 use smallworld_geometry::point::axis_distance;
 use smallworld_geometry::Point;
 use smallworld_graph::{Graph, NodeId};
-use smallworld_models::girg::{BlockSummary, Girg, HUB_BLOCK_SLOTS, HUB_MIN_DEGREE};
+use smallworld_models::girg::{Girg, HubBlocks, HUB_MIN_DEGREE};
 use smallworld_models::hyperbolic::{hyperbolic_distance, Hrg};
 use smallworld_models::kleinberg::{ContinuumKleinberg, KleinbergLattice};
 
-use crate::block::fold_scored;
+use crate::block::fold_pruned;
 
 /// A routing objective: vertices with larger score are "closer" to `target`.
 ///
@@ -87,6 +87,20 @@ pub trait ScoreKernel {
         for (o, &v) in out.iter_mut().zip(vs) {
             *o = self.score(v);
         }
+    }
+
+    /// An upper bound on [`Self::score`] over every vertex a hub block
+    /// summary `row` covers (a row of [`HubBlocks`]), for skipping blocks
+    /// that cannot hold the argmax.
+    ///
+    /// The default, `+∞`, bounds nothing, so no block is skipped unless
+    /// the running best is already `+∞`. An override must never return
+    /// less than the score of a vertex the row covers; [`GirgHopKernel`]
+    /// bounds φ this way and returns `+∞` for a row of the wrong width.
+    #[inline]
+    fn block_bound(&self, row: &[f64]) -> f64 {
+        let _ = row;
+        f64::INFINITY
     }
 
     /// The greedy argmax over `v`'s neighborhood: the first neighbor (in
@@ -403,57 +417,46 @@ impl<'k, const D: usize> GirgHopKernel<'k, D> {
     /// slots it scored; `best_neighbor` is this call without the count.
     ///
     /// A hub's list (degree at least [`HUB_MIN_DEGREE`]) is visited in
-    /// [`HUB_BLOCK_SLOTS`]-slot blocks, in slot order. A block whose upper
-    /// bound on φ (its largest weight over `norm · dist^D`, with `dist` the
-    /// torus distance from the target to the block's coordinate box) is at
-    /// most the running best is skipped unscored: no slot in it can
-    /// *strictly* beat the best, so the result is still the first-best
-    /// neighbor of a full scan, bitwise. Every other list, and every list
-    /// when the kernel came from [`GirgObjective::from_parts`] or `graph`
-    /// is not the GIRG's own graph, is scored in full.
+    /// blocks, in slot order, by the pruned fold the view router shares
+    /// (`core::block`). A block whose upper bound on φ
+    /// ([`ScoreKernel::block_bound`]: its largest weight over
+    /// `norm · dist^D`, with `dist` the torus distance from the target to
+    /// the block's coordinate box) is at most the running best is skipped
+    /// unscored: no slot in it can *strictly* beat the best, so the result
+    /// is still the first-best neighbor of a full scan, bitwise. Every
+    /// other list, and every list when the kernel came from
+    /// [`GirgObjective::from_parts`] or `graph` is not the GIRG's own
+    /// graph, is scored in full.
     pub fn best_neighbor_counted(
         &self,
         graph: &Graph,
         v: NodeId,
     ) -> (Option<(f64, NodeId)>, usize) {
-        let neighbors = graph.neighbors(v);
         let mut best = None;
-        let Some(summaries) = self.hub_summaries(graph, v) else {
-            fold_scored(self, neighbors, &mut best);
-            return (best, neighbors.len());
-        };
-        debug_assert_eq!(summaries.len(), neighbors.len().div_ceil(HUB_BLOCK_SLOTS));
-        let mut scored = 0;
-        for (block, summary) in neighbors.chunks(HUB_BLOCK_SLOTS).zip(summaries) {
-            let bound = block_bound(summary, &self.target_pos, self.norm);
-            if best.is_some_and(|(b, _)| bound <= b) {
-                continue;
-            }
-            fold_scored(self, block, &mut best);
-            scored += block.len();
-        }
+        let scored = fold_pruned(self, graph.neighbors(v), self.hub_rows(graph, v), &mut best);
         (best, scored)
     }
 
-    /// The block summaries of `v`'s list, if `v` is a hub of the GIRG this
-    /// kernel was prepared from and `graph` is that GIRG's graph. The
+    /// The block summary rows of `v`'s list, if `v` is a hub of the GIRG
+    /// this kernel was prepared from and `graph` is that GIRG's graph. The
     /// summaries describe the slots of that one graph only: any other
     /// graph, even one with the same vertex count, has other lists.
     #[inline]
-    fn hub_summaries(&self, graph: &Graph, v: NodeId) -> Option<&'k [BlockSummary<D>]> {
+    fn hub_rows(&self, graph: &Graph, v: NodeId) -> Option<&'k [f64]> {
         let girg = self.girg?;
         if graph.degree(v) < HUB_MIN_DEGREE || !std::ptr::eq(girg.graph(), graph) {
             return None;
         }
-        girg.hub_blocks().blocks(v)
+        girg.hub_blocks().rows(v)
     }
 }
 
-/// An upper bound on φ over every vertex a block summary covers:
+/// An upper bound on φ over every vertex a block summary row covers:
 /// `max_weight / (norm · dist^D)`, where `dist` is the max-norm torus
-/// distance from `target` to the block's coordinate box, or `+∞` when that
+/// distance from `target` to the row's coordinate box, or `+∞` when that
 /// quotient bounds nothing (zero distance, a negative or NaN weight, a
-/// non-positive normalization).
+/// non-positive normalization) or the row is not
+/// [`HubBlocks::ROW_WIDTH`] wide.
 ///
 /// Soundness (DESIGN.md §4k): per axis the box is the arc `[lo, hi]` of
 /// the circle, and a target outside an arc is nearest to one of its
@@ -463,10 +466,14 @@ impl<'k, const D: usize> GirgHopKernel<'k, D> {
 /// product and the quotient never exceed the values of the block's own
 /// slots.
 #[inline]
-fn block_bound<const D: usize>(summary: &BlockSummary<D>, target: &Point<D>, norm: f64) -> f64 {
+fn block_bound<const D: usize>(row: &[f64], target: &Point<D>, norm: f64) -> f64 {
+    if row.len() != HubBlocks::<D>::ROW_WIDTH {
+        return f64::INFINITY;
+    }
+    let (max_weight, lo, hi) = (row[0], &row[1..=D], &row[1 + D..]);
     let mut dist = 0.0f64;
     for (k, &t) in target.coords().iter().enumerate() {
-        let (lo, hi) = (summary.lo[k], summary.hi[k]);
+        let (lo, hi) = (lo[k], hi[k]);
         if !(lo <= t && t <= hi) {
             let d = axis_distance(lo, t).min(axis_distance(hi, t));
             if d > dist {
@@ -475,8 +482,8 @@ fn block_bound<const D: usize>(summary: &BlockSummary<D>, target: &Point<D>, nor
         }
     }
     let denom = norm * dist.powi(D as i32);
-    if summary.max_weight >= 0.0 && denom > 0.0 {
-        summary.max_weight / denom
+    if max_weight >= 0.0 && denom > 0.0 {
+        max_weight / denom
     } else {
         f64::INFINITY
     }
@@ -505,6 +512,11 @@ impl<const D: usize> ScoreKernel for GirgHopKernel<'_, D> {
             let s = self.phi(v);
             *o = if v == self.target { f64::INFINITY } else { s };
         }
+    }
+
+    #[inline]
+    fn block_bound(&self, row: &[f64]) -> f64 {
+        block_bound(row, &self.target_pos, self.norm)
     }
 
     #[inline]

@@ -34,6 +34,28 @@ pub trait AdjacencyView {
     ///
     /// Panics if `v` is out of range.
     fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R;
+
+    /// Calls `f` with the sorted neighbor list of `v` and, when the view
+    /// carries them, the block summary rows of that list, and returns
+    /// `f`'s result.
+    ///
+    /// The rows are the hub block summaries of `smallworld-models`'
+    /// `HubBlocks`: one row of flat `f64`s per `HUB_BLOCK_SLOTS`-slot
+    /// block of the list, in slot order, each bounding the weights and
+    /// coordinates of its block. A greedy hop may skip a block whose row
+    /// proves it cannot hold the argmax, so rows must describe exactly the
+    /// list handed over. The default carries none: `f(list, None)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    fn with_summarized_neighbors<R>(
+        &mut self,
+        v: NodeId,
+        f: impl FnOnce(&[NodeId], Option<&[f64]>) -> R,
+    ) -> R {
+        self.with_neighbors(v, |ns| f(ns, None))
+    }
 }
 
 impl AdjacencyView for &Graph {

@@ -21,7 +21,7 @@ mod hubs;
 mod naive;
 mod stream;
 
-pub use hubs::{BlockSummary, HubBlocks, HUB_BLOCK_SLOTS, HUB_MIN_DEGREE};
+pub use hubs::{HubBlocks, HUB_BLOCK_SLOTS, HUB_MIN_DEGREE};
 pub use stream::{HalfEdges, StreamError, StreamedGirg};
 
 use std::sync::OnceLock;

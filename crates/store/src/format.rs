@@ -32,6 +32,11 @@
 //! | 4  | POS     | n·d × f64: canonical torus coordinates, vertex-major |
 //! | 5  | WEIGHT  | n × f64 |
 //! | 6  | SHARDS  | serialized shard partition (see [`crate::shard`]) |
+//! | 7  | HUBS    | hub block summaries: hub count h (u64), h × u32 ascending hub ids (zero-padded to 8 bytes), (h+1) × u64 row starts, (1+2d)-f64 rows (see [`crate::hubs`]) |
+//!
+//! Readers skip section ids they do not know, so a store with a HUBS
+//! section opens in builds that predate it, and a store without one
+//! routes with full scans.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -45,6 +50,7 @@ use smallworld_models::girg::{Girg, GirgParams};
 use smallworld_models::Alpha;
 
 use crate::csr::CompressedCsr;
+use crate::hubs::hubs_section_bytes;
 use crate::mmap::{map_readonly, Mapping};
 use crate::shard::ShardedStore;
 use crate::StoreError;
@@ -81,9 +87,27 @@ pub enum SectionId {
     Weight = 5,
     /// Shard partition.
     Shards = 6,
+    /// Hub block summaries (`smallworld_models::girg::HubBlocks`): the
+    /// ascending hub ids, the per-hub row starts and the `1 + 2d`-f64
+    /// rows. [`GraphStore::mapped_graph`] checks the ids (strictly
+    /// ascending, `< n`), the starts (from 0, monotone, ending at the row
+    /// count), the rows (no NaN, `lo ≤ hi`) and each hub's row count
+    /// (`ceil(deg / 64)`, with `deg` counted from the NBR bytes) and
+    /// reports a failure as [`StoreError::Corrupt`].
+    Hubs = 7,
 }
 
 impl SectionId {
+    const ALL: [SectionId; 7] = [
+        SectionId::Meta,
+        SectionId::Offsets,
+        SectionId::Nbr,
+        SectionId::Pos,
+        SectionId::Weight,
+        SectionId::Shards,
+        SectionId::Hubs,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             SectionId::Meta => "META",
@@ -92,6 +116,7 @@ impl SectionId {
             SectionId::Pos => "POS",
             SectionId::Weight => "WEIGHT",
             SectionId::Shards => "SHARDS",
+            SectionId::Hubs => "HUBS",
         }
     }
 }
@@ -319,9 +344,10 @@ pub fn write_graph_swg(
     })
 }
 
-/// Writes a sampled GIRG — adjacency, packed geometry, and model
-/// parameters — as a `.swg` store. With `shard_count > 1` a geometric
-/// (Morton-range) shard partition is included.
+/// Writes a sampled GIRG — adjacency, packed geometry, model parameters,
+/// and the hub block summaries of [`Girg::hub_blocks`] — as a `.swg`
+/// store. With `shard_count > 1` a geometric (Morton-range) shard
+/// partition is included.
 ///
 /// # Errors
 ///
@@ -344,6 +370,10 @@ pub fn write_girg_swg<const D: usize>(
     sections.push((
         SectionId::Weight,
         SectionSource::Bytes(weight_section_bytes(girg.weights())),
+    ));
+    sections.push((
+        SectionId::Hubs,
+        SectionSource::Bytes(hubs_section_bytes(girg.hub_blocks())),
     ));
 
     let mut flags = FLAG_GEOMETRY;
@@ -430,6 +460,52 @@ pub struct GraphStore {
     flags: u32,
     node_count: u64,
     target_count: u64,
+}
+
+/// Fixed-width little-endian numbers a section can be viewed as.
+///
+/// # Safety
+///
+/// Every bit pattern of `SIZE` bytes must be a valid value of the type:
+/// [`le_view`] reinterprets mapped bytes as it in place.
+pub(crate) unsafe trait LeWord: Copy {
+    /// Width in bytes.
+    const SIZE: usize;
+    /// Decodes one value from exactly [`Self::SIZE`] bytes.
+    fn from_le(bytes: &[u8]) -> Self;
+}
+
+macro_rules! le_word {
+    ($($t:ty),*) => {$(
+        // SAFETY: a plain integer or float; every bit pattern is a value.
+        unsafe impl LeWord for $t {
+            const SIZE: usize = std::mem::size_of::<$t>();
+            fn from_le(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("one word"))
+            }
+        }
+    )*};
+}
+
+le_word!(u32, u64, f64);
+
+/// Views little-endian section bytes as `T`s, borrowing in place when the
+/// slice is aligned (mmap'd sections are page-aligned, so the owned copy
+/// is taken only on big-endian targets or odd buffered reads). Trailing
+/// bytes short of a whole word are ignored.
+pub(crate) fn le_view<T: LeWord>(bytes: &[u8]) -> Cow<'_, [T]> {
+    let bytes = &bytes[..bytes.len() / T::SIZE * T::SIZE];
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: every bit pattern is a valid `T` (the `LeWord`
+        // contract); align_to only reinterprets, and the borrow is taken
+        // solely when the slice is fully aligned.
+        let (pre, mid, post) = unsafe { bytes.align_to::<T>() };
+        if pre.is_empty() && post.is_empty() {
+            return Cow::Borrowed(mid);
+        }
+    }
+    Cow::Owned(bytes.chunks_exact(T::SIZE).map(T::from_le).collect())
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -656,22 +732,7 @@ impl GraphStore {
                 expected * 8
             )));
         }
-        #[cfg(target_endian = "little")]
-        {
-            // SAFETY: every bit pattern is a valid f64; align_to only
-            // reinterprets, and the borrowed path is taken solely when the
-            // slice is 8-aligned (mmap'd sections are page-aligned).
-            let (pre, mid, post) = unsafe { bytes.align_to::<f64>() };
-            if pre.is_empty() && post.is_empty() {
-                return Ok(Cow::Borrowed(mid));
-            }
-        }
-        Ok(Cow::Owned(
-            bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect(),
-        ))
+        Ok(le_view(bytes))
     }
 
     /// The packed position coordinates: `node_count · dim` canonical torus
@@ -758,15 +819,10 @@ impl GraphStore {
 }
 
 fn section_name(id: u32) -> &'static str {
-    match id {
-        1 => "META",
-        2 => "OFFSETS",
-        3 => "NBR",
-        4 => "POS",
-        5 => "WEIGHT",
-        6 => "SHARDS",
-        _ => "unknown",
-    }
+    SectionId::ALL
+        .iter()
+        .find(|&&s| s as u32 == id)
+        .map_or("unknown", |s| s.name())
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 mod csr;
 mod error;
 mod format;
+mod hubs;
 mod mapped;
 mod mmap;
 mod shard;

@@ -14,14 +14,24 @@
 //! the A/B baseline for measuring what on-demand decoding costs. Both
 //! present adjacency through `smallworld_graph::AdjacencyView`, so the
 //! same routing loop runs over an in-memory [`Graph`] or over the file
-//! bytes, producing bitwise-identical routes (pinned by the
-//! `mapped_equivalence` proptests).
+//! bytes, producing bitwise-identical routes (pinned by the proptests of
+//! `crates/store/tests/mapped_routing.rs`).
+//!
+//! When the store carries a HUBS section ([`crate::hubs`]), the cursor
+//! hands each hub list over together with its block summary rows
+//! (`AdjacencyView::with_summarized_neighbors`), so the view router skips
+//! the hub blocks that cannot hold the argmax, as the in-RAM φ kernel
+//! does. The rows describe the store's own geometry: route a cursor with
+//! a kernel over that geometry (`smallworld_core::PackedGirgObjective`
+//! over the store's POS and WEIGHT sections, or the stored GIRG's own
+//! objective).
 
 use std::borrow::Cow;
 
 use smallworld_graph::{AdjacencyView, Graph, NodeId};
 
-use crate::format::{GraphStore, SectionId};
+use crate::format::{le_view, GraphStore, SectionId};
+use crate::hubs::HubsView;
 use crate::varint;
 use crate::StoreError;
 
@@ -53,39 +63,22 @@ pub struct MappedGraph<'a> {
     nbr: &'a [u8],
     /// Total neighbor-list entries (`2m`), from the store header.
     target_count: usize,
-}
-
-/// Reinterprets little-endian `u64` section bytes, borrowing in place when
-/// the mapping is aligned (mmap'd sections are page-aligned, so the owned
-/// fallback only triggers for big-endian targets or odd buffered reads).
-fn u64_view(bytes: &[u8]) -> Cow<'_, [u64]> {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: every bit pattern is a valid u64; align_to only
-        // reinterprets, and the borrow is taken solely when the slice is
-        // fully 8-aligned.
-        let (pre, mid, post) = unsafe { bytes.align_to::<u64>() };
-        if pre.is_empty() && post.is_empty() {
-            return Cow::Borrowed(mid);
-        }
-    }
-    Cow::Owned(
-        bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect(),
-    )
+    /// The hub block summaries, when the store carries a HUBS section.
+    hubs: Option<HubsView<'a>>,
 }
 
 impl GraphStore {
     /// A decode-free adjacency view borrowing this store's OFFSETS and NBR
-    /// sections. The offsets index is validated (monotone cover of the NBR
-    /// bytes, correct length) before any neighbor list is touched.
+    /// sections, and its HUBS section when there is one. The offsets index
+    /// (monotone cover of the NBR bytes, correct length) and the hub
+    /// summaries (see [`SectionId::Hubs`]) are validated before any
+    /// neighbor list is touched.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] when either section is missing or the
-    /// offsets index is malformed.
+    /// Returns [`StoreError`] when OFFSETS or NBR is missing, and
+    /// [`StoreError::Corrupt`] when the offsets index or the HUBS section
+    /// is malformed.
     pub fn mapped_graph(&self) -> Result<MappedGraph<'_>, StoreError> {
         let offsets_bytes = self.section(SectionId::Offsets)?;
         let expected = (self.node_count() + 1) * 8;
@@ -95,7 +88,7 @@ impl GraphStore {
                 offsets_bytes.len()
             )));
         }
-        let offsets = u64_view(offsets_bytes);
+        let offsets: Cow<'_, [u64]> = le_view(offsets_bytes);
         let nbr = self.section(SectionId::Nbr)?;
         if offsets[0] != 0 {
             return Err(StoreError::Corrupt("compressed offsets must start at 0".into()));
@@ -108,10 +101,16 @@ impl GraphStore {
                 "compressed offsets do not cover the data stream".into(),
             ));
         }
+        let hubs = match self.section(SectionId::Hubs) {
+            Ok(bytes) => Some(HubsView::parse(bytes, self.dim(), &offsets, nbr)?),
+            Err(StoreError::MissingSection(_)) => None,
+            Err(e) => return Err(e),
+        };
         Ok(MappedGraph {
             offsets,
             nbr,
             target_count: self.target_count(),
+            hubs,
         })
     }
 }
@@ -130,6 +129,18 @@ impl<'a> MappedGraph<'a> {
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
         self.target_count / 2
+    }
+
+    /// Number of hubs whose block summaries the store carries (0 without
+    /// a HUBS section).
+    pub fn hub_count(&self) -> usize {
+        self.hubs.as_ref().map_or(0, HubsView::hub_count)
+    }
+
+    /// The block summary rows of `v`'s list, if the store summarizes it.
+    #[inline]
+    pub(crate) fn hub_rows(&self, v: NodeId) -> Option<&[f64]> {
+        self.hubs.as_ref()?.rows(v)
     }
 
     /// Whether the offsets index is borrowed straight from the mapping
@@ -294,7 +305,7 @@ impl<'a> MappedCursor<'a> {
     }
 }
 
-impl AdjacencyView for MappedCursor<'_> {
+impl<'a> AdjacencyView for MappedCursor<'a> {
     fn node_count(&self) -> usize {
         self.graph.node_count()
     }
@@ -325,6 +336,18 @@ impl AdjacencyView for MappedCursor<'_> {
         victim.list.clear();
         victim.list.extend(self.scratch.iter().map(|&t| NodeId::new(t)));
         f(&victim.list)
+    }
+
+    /// Hands `v`'s list over with its block summary rows, if the store
+    /// summarizes it; the list is fetched exactly as by `with_neighbors`.
+    fn with_summarized_neighbors<R>(
+        &mut self,
+        v: NodeId,
+        f: impl FnOnce(&[NodeId], Option<&[f64]>) -> R,
+    ) -> R {
+        let graph: &'a MappedGraph<'a> = self.graph;
+        let rows = graph.hub_rows(v);
+        self.with_neighbors(v, |ns| f(ns, rows))
     }
 }
 

@@ -14,19 +14,25 @@
 //! for the same (Morton-relabeled) sample; `tests/` pin this by hashing
 //! whole files.
 //!
-//! Peak memory is one vertex's neighbor list plus the offsets index —
-//! `O(n)` — regardless of the edge count.
+//! Each closed list also goes through [`HubBlocks::push`], the summary
+//! builder behind `Girg::hub_blocks`, so the HUBS section is the in-RAM
+//! writer's too.
+//!
+//! Peak memory is one vertex's neighbor list plus the offsets index and
+//! the hub summaries — `O(n)` — regardless of the edge count.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use smallworld_models::girg::StreamedGirg;
+use smallworld_graph::NodeId;
+use smallworld_models::girg::{HubBlocks, StreamedGirg};
 
 use crate::format::{
     meta_section_bytes, offsets_section_bytes, pos_section_bytes, weight_section_bytes, Crc32,
     SectionSource,
 };
+use crate::hubs::hubs_section_bytes;
 use crate::{varint, SectionId, StoreError, WriteStats, FLAG_GEOMETRY};
 
 /// Accumulates the NBR section in a staged spill file: per-vertex varint
@@ -105,6 +111,12 @@ fn stage_and_write<const D: usize>(
     let node_count = sample.node_count();
     let target_count = sample.target_count();
     let mut stager = NbrStager::create(staged_path, node_count)?;
+    let mut hubs = HubBlocks::default();
+    let mut close = |v: usize, list: &[u32]| {
+        let (positions, weights) = (sample.positions(), sample.weights());
+        hubs.push(NodeId::from_index(v), list, positions, weights);
+        stager.push_vertex(list)
+    };
     let mut current: Vec<u32> = Vec::new();
     let mut next_src = 0usize; // first vertex whose list is still open
     let mut seen = 0usize;
@@ -119,7 +131,7 @@ fn stage_and_write<const D: usize>(
         // the stream is strictly increasing, so a new src closes all
         // vertices up to and including the previous one
         while next_src < src {
-            stager.push_vertex(&current)?;
+            close(next_src, &current)?;
             current.clear();
             next_src += 1;
         }
@@ -127,7 +139,7 @@ fn stage_and_write<const D: usize>(
         seen += 1;
     }
     while next_src < node_count {
-        stager.push_vertex(&current)?;
+        close(next_src, &current)?;
         current.clear();
         next_src += 1;
     }
@@ -163,6 +175,10 @@ fn stage_and_write<const D: usize>(
         (
             SectionId::Weight,
             SectionSource::Bytes(weight_section_bytes(sample.weights())),
+        ),
+        (
+            SectionId::Hubs,
+            SectionSource::Bytes(hubs_section_bytes(&hubs)),
         ),
     ];
     let file_bytes = crate::format::write_sections(
@@ -223,6 +239,28 @@ mod tests {
             std::fs::remove_file(&in_ram).ok();
             std::fs::remove_file(&out).ok();
         }
+    }
+
+    #[test]
+    fn streamed_hubs_section_is_the_in_ram_one() {
+        let builder = GirgBuilder::<2>::new(2_000).beta(2.3).alpha(2.0);
+        let girg = builder.sample(&mut StdRng::seed_from_u64(5)).unwrap();
+        let relabeled = girg.relabel(&girg.morton_permutation());
+        let in_ram = temp_path("hubs-inram.swg");
+        crate::write_girg_swg(&relabeled, &in_ram, 1).unwrap();
+        let streamed = builder
+            .sample_streamed(&mut StdRng::seed_from_u64(5), &std::env::temp_dir())
+            .unwrap();
+        let out = temp_path("hubs-streamed.swg");
+        write_girg_swg_streamed(&streamed, &out).unwrap();
+        assert_eq!(std::fs::read(&in_ram).unwrap(), std::fs::read(&out).unwrap());
+
+        let store = crate::GraphStore::open(&out).unwrap();
+        let hubs = store.mapped_graph().unwrap().hub_count();
+        assert_eq!(hubs, relabeled.hub_blocks().hub_count());
+        assert!(hubs >= 10, "only {hubs} hubs");
+        std::fs::remove_file(&in_ram).ok();
+        std::fs::remove_file(&out).ok();
     }
 
     #[test]
