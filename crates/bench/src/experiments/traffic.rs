@@ -173,7 +173,7 @@ impl Agg {
 /// [`Agg`]. The fault plan depends only on seed stream 0, so greedy and
 /// patching runs with the same `seed` face identical failures.
 #[allow(clippy::too_many_arguments)]
-fn traffic_rep<O: Objective>(
+fn traffic_rep<O: Objective + Sync>(
     graph: &Graph,
     objective: &O,
     policy: Policy,
@@ -191,13 +191,10 @@ fn traffic_rep<O: Objective>(
         return agg;
     }
     let workload = UniformPairs::new(packets, load, split_seed(seed, 1));
-    // prepared-kernel hop scoring: the simulator calls `prepare(target)`
-    // once per forwarding decision instead of re-deriving the target's
-    // geometry for every candidate neighbor
+    // each hop prepares the target once and folds through core's pruned fold
     let score = PreparedObjective::new(objective);
     let _span = smallworld_obs::Span::enter("traffic_sim");
-    // reps already fan out across the pool, so each rep runs serially
-    // (run_local also drops the Sync bound the generic objective lacks)
+    // reps already fan out across the pool, so each rep runs on one shard
     let report = match policy {
         Policy::Greedy => SimBuilder::new(graph, GreedyPolicy::new(score))
             .faults(plan)
@@ -205,14 +202,14 @@ fn traffic_rep<O: Objective>(
             .shards(1)
             .build()
             .expect("traffic sim config is valid")
-            .run_local(workload.over(&eligible)),
+            .run(workload.over(&eligible)),
         Policy::Patching => SimBuilder::new(graph, PatchingPolicy::new(score))
             .faults(plan)
             .config(config)
             .shards(1)
             .build()
             .expect("traffic sim config is valid")
-            .run_local(workload.over(&eligible)),
+            .run(workload.over(&eligible)),
     };
     agg.absorb(&report, eligible.len(), graph.node_count());
     agg

@@ -208,11 +208,7 @@ impl GreedyRouter {
         Obs: RouteObserver,
     {
         let best_neighbor = |v| {
-            view.with_summarized_neighbors(v, |ns, rows| {
-                let mut best = None;
-                fold_pruned(kernel, ns, rows, &mut best);
-                best
-            })
+            view.with_summarized_neighbors(v, |ns, rows| fold_pruned(kernel, ns, rows, &|_| true).0)
         };
         self.route_by(kernel, s, best_neighbor, obs, scratch)
     }

@@ -103,6 +103,15 @@ pub trait ScoreKernel {
         f64::INFINITY
     }
 
+    /// The [`HubBlocks`] rows of `list`, the neighbor list of `v`, if the
+    /// kernel has them for that very list; the default, `None`, lets the
+    /// fold skip nothing.
+    #[inline]
+    fn hub_rows(&self, v: NodeId, list: &[NodeId]) -> Option<&[f64]> {
+        let _ = (v, list);
+        None
+    }
+
     /// The greedy argmax over `v`'s neighborhood: the first neighbor (in
     /// adjacency order) attaining the strictly largest score, or `None` for
     /// an isolated vertex.
@@ -228,13 +237,15 @@ impl<O: Objective> Objective for NaiveObjective<O> {
 
 /// Adapts any [`Objective`] into `smallworld-net`'s
 /// [`HopScore`](smallworld_net::HopScore), so the network simulator's
-/// forwarding policies score candidates through the prepared kernel
-/// instead of re-resolving the target every call.
+/// forwarding policies take each hop's argmax from the routers' fold:
+/// [`HopScore::best_live`](smallworld_net::HopScore::best_live) prepares
+/// the kernel once and runs `core::block`'s pruned fold over the neighbor
+/// list, with the kernel's [`ScoreKernel::hub_rows`] and the policy's
+/// liveness predicate.
 ///
-/// Per the `HopScore` contract the prepared closure is bitwise-identical
-/// to the two-argument score, which the kernel contract already
-/// guarantees — traffic simulations produce identical reports whether a
-/// policy is built from a plain closure or from this adapter.
+/// The kernel contract makes every path bitwise-identical to the
+/// two-argument score, so traffic simulations produce identical reports
+/// whether a policy is built from a plain closure or from this adapter.
 ///
 /// # Examples
 ///
@@ -276,6 +287,18 @@ impl<O: Objective> smallworld_net::HopScore for PreparedObjective<'_, O> {
     #[inline]
     fn score_block(&self, target: NodeId, candidates: &[NodeId], out: &mut [f64]) {
         self.0.prepare(target).score_block(candidates, out);
+    }
+
+    #[inline]
+    fn best_live(
+        &self,
+        target: NodeId,
+        current: NodeId,
+        list: &[NodeId],
+        live: impl Fn(NodeId) -> bool,
+    ) -> Option<(f64, NodeId)> {
+        let kernel = self.0.prepare(target);
+        fold_pruned(&kernel, list, kernel.hub_rows(current, list), &live).0
     }
 }
 
@@ -416,38 +439,19 @@ impl<'k, const D: usize> GirgHopKernel<'k, D> {
     /// [`ScoreKernel::best_neighbor`] together with the number of neighbor
     /// slots it scored; `best_neighbor` is this call without the count.
     ///
-    /// A hub's list (degree at least [`HUB_MIN_DEGREE`]) is visited in
-    /// blocks, in slot order, by the pruned fold the view router shares
-    /// (`core::block`). A block whose upper bound on φ
-    /// ([`ScoreKernel::block_bound`]: its largest weight over
-    /// `norm · dist^D`, with `dist` the torus distance from the target to
-    /// the block's coordinate box) is at most the running best is skipped
-    /// unscored: no slot in it can *strictly* beat the best, so the result
-    /// is still the first-best neighbor of a full scan, bitwise. Every
-    /// other list, and every list when the kernel came from
-    /// [`GirgObjective::from_parts`] or `graph` is not the GIRG's own
-    /// graph, is scored in full.
+    /// The list goes through `core::block`'s pruned fold with this kernel's
+    /// [`ScoreKernel::hub_rows`]: a hub block whose φ bound
+    /// ([`ScoreKernel::block_bound`]) is at most the running best is
+    /// skipped unscored, and the result is still the first-best neighbor of
+    /// a full scan, bitwise. Kernels from [`GirgObjective::from_parts`] and
+    /// lists of any other graph are scored in full.
     pub fn best_neighbor_counted(
         &self,
         graph: &Graph,
         v: NodeId,
     ) -> (Option<(f64, NodeId)>, usize) {
-        let mut best = None;
-        let scored = fold_pruned(self, graph.neighbors(v), self.hub_rows(graph, v), &mut best);
-        (best, scored)
-    }
-
-    /// The block summary rows of `v`'s list, if `v` is a hub of the GIRG
-    /// this kernel was prepared from and `graph` is that GIRG's graph. The
-    /// summaries describe the slots of that one graph only: any other
-    /// graph, even one with the same vertex count, has other lists.
-    #[inline]
-    fn hub_rows(&self, graph: &Graph, v: NodeId) -> Option<&'k [f64]> {
-        let girg = self.girg?;
-        if graph.degree(v) < HUB_MIN_DEGREE || !std::ptr::eq(girg.graph(), graph) {
-            return None;
-        }
-        girg.hub_blocks().rows(v)
+        let list = graph.neighbors(v);
+        fold_pruned(self, list, self.hub_rows(v, list), &|_| true)
     }
 }
 
@@ -517,6 +521,16 @@ impl<const D: usize> ScoreKernel for GirgHopKernel<'_, D> {
     #[inline]
     fn block_bound(&self, row: &[f64]) -> f64 {
         block_bound(row, &self.target_pos, self.norm)
+    }
+
+    /// The rows of `v`'s list, if `v` is a hub of the GIRG this kernel was
+    /// prepared from and `list` is that GIRG's own list of `v` (the same
+    /// slice, not an equal one): any other graph has other lists.
+    #[inline]
+    fn hub_rows(&self, v: NodeId, list: &[NodeId]) -> Option<&[f64]> {
+        let girg = self.girg.filter(|_| list.len() >= HUB_MIN_DEGREE)?;
+        let rows = girg.hub_blocks().rows(v)?;
+        std::ptr::eq(girg.graph().neighbors(v), list).then_some(rows)
     }
 
     #[inline]

@@ -20,8 +20,9 @@
 //!   splitting, so runs are bitwise reproducible at any
 //!   `SMALLWORLD_THREADS`;
 //! * protocols are [`policy::HopPolicy`] implementations that see only a
-//!   local [`policy::HopView`] (their live neighbors plus the packet's
-//!   target) — the simulator panics on any locality violation;
+//!   local [`policy::HopView`] (their neighbor list, which of those
+//!   neighbors are live, and the packet's target) — the simulator panics
+//!   on any locality violation;
 //! * delivery/drop/expiry counters and queue-depth / hop-latency
 //!   histograms flow into `smallworld-obs`'s global metrics registry.
 //!

@@ -2,33 +2,35 @@
 //!
 //! A [`HopPolicy`] is the protocol a node runs when a packet reaches it:
 //! given only the local [`HopView`] (the node, the packet's target, and
-//! the *currently live* neighbors) it forwards or drops. Policies carry
-//! per-packet state of type [`HopPolicy::State`] — the simulator creates
-//! one fresh `State` per packet, so policies stay shareable across the
-//! whole run and across threads.
+//! its neighbors, of which only the *currently live* may be chosen) it
+//! forwards or drops. Policies carry per-packet state of type
+//! [`HopPolicy::State`] — the simulator creates one fresh `State` per
+//! packet, so policies stay shareable across the whole run and across
+//! threads.
 //!
 //! Scoring goes through the [`HopScore`] trait: `(candidate, target)` to a
-//! comparable score (larger = closer), plus a per-target prepared form the
-//! policies invoke once per hop. Any plain closure
+//! comparable score (larger = closer), plus [`HopScore::best_live`], the
+//! hop's argmax over the live neighbors. Any plain closure
 //! `Fn(NodeId, NodeId) -> f64` is a `HopScore` via the blanket impl, so the
 //! crate does not depend on any particular objective type; callers pass
 //! e.g. `|v, t| objective.score(v, t)` from `smallworld-core`, or that
-//! crate's kernel-backed `PreparedObjective` adapter for the fast path.
+//! crate's `PreparedObjective`, whose `best_live` is the routers' fold.
+
+use std::collections::HashSet;
 
 use smallworld_graph::NodeId;
 
 use crate::event::Time;
+use crate::fault::FaultPlan;
 
-/// A routing score over `(candidate, target)` pairs, with a per-target
-/// prepared form.
+/// A routing score over `(candidate, target)` pairs, and the hop argmax
+/// [`HopScore::best_live`] built on it.
 ///
-/// Policies call [`HopScore::prepare`] once per hop and score every
-/// candidate through the returned closure, so implementations backed by a
-/// per-target kernel (hoisted target position, packed neighborhoods, …)
-/// pay their preparation once instead of per candidate. The prepared
-/// closure must return values **bitwise-identical** to
-/// [`HopScore::score`]`(v, target)` — simulations must be unable to tell
-/// the two paths apart.
+/// A kernel-backed implementation (e.g. `smallworld-core`'s
+/// `PreparedObjective`) overrides `best_live` to prepare the target once
+/// and skip what its kernel rules out. Every method must agree
+/// **bitwise** with [`HopScore::score`]: simulations must be unable to
+/// tell the paths apart.
 ///
 /// Every `Fn(NodeId, NodeId) -> f64` closure is a `HopScore` whose
 /// prepared form simply captures the target.
@@ -37,7 +39,7 @@ pub trait HopScore {
     /// closer.
     fn score(&self, candidate: NodeId, target: NodeId) -> f64;
 
-    /// The single-target view used inside one hop's candidate scan.
+    /// The single-target view of [`HopScore::score`].
     fn prepare(&self, target: NodeId) -> impl Fn(NodeId) -> f64 + '_;
 
     /// Scores a block of candidates against one target:
@@ -45,9 +47,7 @@ pub trait HopScore {
     /// `j < candidates.len()`, **bitwise-identical** to the scalar calls.
     ///
     /// The default prepares once and loops. Implementations backed by a
-    /// batched kernel (e.g. `smallworld-core`'s `PreparedObjective`)
-    /// forward to their `ScoreKernel::score_block`, so policies scanning
-    /// candidates in blocks inherit the vectorized scoring loops. `out`
+    /// batched kernel forward to their `ScoreKernel::score_block`. `out`
     /// must be at least as long as `candidates`.
     #[inline]
     fn score_block(&self, target: NodeId, candidates: &[NodeId], out: &mut [f64]) {
@@ -56,6 +56,36 @@ pub trait HopScore {
         for (o, &v) in out.iter_mut().zip(candidates) {
             *o = score(v);
         }
+    }
+
+    /// The hop argmax at `current`, whose neighbor list is `list`: the
+    /// first slot with the strictly largest score towards `target` among
+    /// those the pure predicate `live` accepts, or `None`. `live` is asked
+    /// only about a slot that would strictly beat the best so far.
+    ///
+    /// The default scores the whole list through
+    /// [`HopScore::score_block`], eight slots at a time.
+    #[inline]
+    fn best_live(
+        &self,
+        target: NodeId,
+        current: NodeId,
+        list: &[NodeId],
+        live: impl Fn(NodeId) -> bool,
+    ) -> Option<(f64, NodeId)> {
+        let _ = current;
+        const BLOCK: usize = 8;
+        let mut best: Option<(f64, NodeId)> = None;
+        let mut scores = [0.0f64; BLOCK];
+        for chunk in list.chunks(BLOCK) {
+            self.score_block(target, chunk, &mut scores[..chunk.len()]);
+            for (&s, &v) in scores.iter().zip(chunk) {
+                if best.is_none_or(|(b, _)| s > b) && live(v) {
+                    best = Some((s, v));
+                }
+            }
+        }
+        best
     }
 }
 
@@ -72,28 +102,45 @@ impl<S: Fn(NodeId, NodeId) -> f64> HopScore for S {
 }
 
 /// Everything a node is allowed to see when forwarding a packet: itself,
-/// the packet's target, its live neighbors, the virtual clock, and the
-/// hop count so far. Deliberately *no* graph handle — locality is
-/// structural: a policy cannot reach beyond one hop.
+/// the packet's target, its neighbors and which of them are live, the
+/// virtual clock, and the hop count so far. Deliberately *no* graph
+/// handle — locality is structural: a policy cannot reach beyond one hop.
 #[derive(Clone, Copy, Debug)]
 pub struct HopView<'a> {
     /// The node holding the packet.
     pub current: NodeId,
     /// The packet's destination.
     pub target: NodeId,
-    /// Neighbors of `current` whose node and connecting link are up at
-    /// `now`, in graph adjacency order.
-    pub candidates: &'a [NodeId],
+    /// The sorted neighbor list of `current`, live or not.
+    pub neighbors: &'a [NodeId],
     /// The virtual clock.
     pub now: Time,
     /// Hops the packet has taken so far.
     pub hops: u32,
+    /// The run's fault schedule, read through [`HopView::is_live`].
+    pub(crate) faults: &'a FaultPlan,
+}
+
+impl HopView<'_> {
+    /// Whether a packet sent from `current` to `v` now could arrive: `v`
+    /// is up at `now` and so is the link `{current, v}`.
+    #[inline]
+    pub fn is_live(&self, v: NodeId) -> bool {
+        self.faults.node_up(v, self.now) && self.faults.edge_up(self.current, v, self.now)
+    }
+
+    /// Whether `v` is a neighbor of `current` and [live](Self::is_live):
+    /// the simulator's locality check on every forwarded packet.
+    #[inline]
+    pub fn is_live_neighbor(&self, v: NodeId) -> bool {
+        self.neighbors.binary_search(&v).is_ok() && self.is_live(v)
+    }
 }
 
 /// A policy's verdict for one hop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HopChoice {
-    /// Forward to this neighbor (must be one of the view's candidates).
+    /// Forward to this neighbor (must be a live one).
     Forward(NodeId),
     /// Give up; the simulator records a dead end.
     Drop,
@@ -101,8 +148,8 @@ pub enum HopChoice {
 
 /// A per-hop forwarding protocol. Implementations must choose using only
 /// the [`HopView`] and their own per-packet `State`; the simulator
-/// asserts the chosen next hop is a listed candidate ("locality
-/// violation" otherwise).
+/// asserts the chosen next hop is a [live
+/// neighbor](HopView::is_live_neighbor) ("locality violation" otherwise).
 pub trait HopPolicy {
     /// Per-packet scratch state, default-initialized at injection.
     type State: Default;
@@ -126,7 +173,7 @@ impl<P: HopPolicy + ?Sized> HopPolicy for &P {
     }
 }
 
-/// Plain greedy forwarding: send to the first-best candidate strictly
+/// Plain greedy forwarding: send to the first-best live neighbor strictly
 /// closer to the target than the current node, else drop. Matches
 /// `smallworld-core`'s `GreedyRouter` tie-breaking (first best in
 /// adjacency order, strict improvement required).
@@ -155,27 +202,14 @@ impl<S: HopScore> HopPolicy for GreedyPolicy<S> {
     }
 
     fn next_hop(&self, view: &HopView<'_>, _state: &mut ()) -> HopChoice {
-        // deliberately no special case for a candidate equal to the
+        // deliberately no special case for a neighbor equal to the
         // target: like `GreedyRouter`, we rely on the score function
         // ranking the target itself maximally, so the two stay hop-for-hop
         // identical under the same objective
-        //
-        // candidates are scanned in blocks through HopScore::score_block so
-        // kernel-backed scores batch their gathers and divides; the fold
-        // stays first-best-in-adjacency-order, matching the scalar scan
-        // bitwise
-        const BLOCK: usize = 8;
-        let mut best: Option<(f64, NodeId)> = None;
-        let mut scores = [0.0f64; BLOCK];
-        for chunk in view.candidates.chunks(BLOCK) {
-            self.score
-                .score_block(view.target, chunk, &mut scores[..chunk.len()]);
-            for (&s, &v) in scores[..chunk.len()].iter().zip(chunk) {
-                if best.is_none_or(|(b, _)| s > b) {
-                    best = Some((s, v));
-                }
-            }
-        }
+        let live = |v| view.is_live(v);
+        let best = self
+            .score
+            .best_live(view.target, view.current, view.neighbors, live);
         let here = self.score.score(view.current, view.target);
         match best {
             Some((s, v)) if s > here => HopChoice::Forward(v),
@@ -189,15 +223,11 @@ impl<S: HopScore> HopPolicy for GreedyPolicy<S> {
 /// backtracking around failed regions.
 #[derive(Clone, Debug, Default)]
 pub struct PatchState {
-    visited: Vec<NodeId>,
+    visited: HashSet<NodeId>,
     trail: Vec<NodeId>,
 }
 
 impl PatchState {
-    fn visited(&self, v: NodeId) -> bool {
-        self.visited.contains(&v)
-    }
-
     /// Nodes visited so far (diagnostics).
     pub fn visited_count(&self) -> usize {
         self.visited.len()
@@ -240,34 +270,25 @@ impl<S: HopScore> HopPolicy for PatchingPolicy<S> {
         let u = view.current;
         if state.trail.last() != Some(&u) {
             // first visit (or re-entry after the trail was cut): extend
-            if !state.visited(u) {
-                state.visited.push(u);
-            }
+            state.visited.insert(u);
             state.trail.push(u);
         }
-        let score = self.score.prepare(view.target);
-        let mut best: Option<(f64, NodeId)> = None;
-        for &v in view.candidates {
-            if v == view.target {
-                return HopChoice::Forward(v);
-            }
-            if state.visited(v) {
-                continue;
-            }
-            let s = score(v);
-            if best.is_none_or(|(b, _)| s > b) {
-                best = Some((s, v));
-            }
+        if view.is_live_neighbor(view.target) {
+            return HopChoice::Forward(view.target);
         }
+        // the best unvisited live neighbor — improving if possible, else
+        // the detour that stays closest to the target
+        let unvisited = |v| view.is_live(v) && !state.visited.contains(&v);
+        let best = self
+            .score
+            .best_live(view.target, u, view.neighbors, unvisited);
         if let Some((_, v)) = best {
-            // best unvisited candidate — improving if possible, else the
-            // detour that stays closest to the target
             return HopChoice::Forward(v);
         }
         // fully explored: backtrack along the trail
         state.trail.pop();
         match state.trail.last() {
-            Some(&prev) if view.candidates.contains(&prev) => HopChoice::Forward(prev),
+            Some(&prev) if view.is_live_neighbor(prev) => HopChoice::Forward(prev),
             _ => HopChoice::Drop,
         }
     }
@@ -275,15 +296,20 @@ impl<S: HopScore> HopPolicy for PatchingPolicy<S> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::LazyLock;
+
     use super::*;
 
-    fn view<'a>(current: u32, target: u32, candidates: &'a [NodeId]) -> HopView<'a> {
+    static NO_FAULTS: LazyLock<FaultPlan> = LazyLock::new(FaultPlan::none);
+
+    fn view<'a>(current: u32, target: u32, neighbors: &'a [NodeId]) -> HopView<'a> {
         HopView {
             current: NodeId::new(current),
             target: NodeId::new(target),
-            candidates,
+            neighbors,
             now: 0,
             hops: 0,
+            faults: &NO_FAULTS,
         }
     }
 
@@ -337,6 +363,55 @@ mod tests {
         );
     }
 
+    /// A plan under which exactly the nodes in `dead` (among ids below
+    /// 12) are down, permanently, from tick 0.
+    fn plan_killing(dead: &[u32]) -> FaultPlan {
+        let spec = crate::fault::FaultSpec {
+            node_fail_rate: 0.5,
+            ..crate::fault::FaultSpec::none()
+        };
+        (0..)
+            .map(|seed| FaultPlan::new(spec, seed))
+            .find(|plan| (0..12).all(|v| plan.node_up(NodeId::new(v), 0) != dead.contains(&v)))
+            .expect("some seed kills exactly these nodes")
+    }
+
+    #[test]
+    fn policies_only_forward_to_live_neighbors() {
+        let faults = plan_killing(&[7, 10, 11]);
+        let at = |current, target, neighbors| HopView {
+            faults: &faults,
+            ..view(current, target, neighbors)
+        };
+        // the best neighbor 7 is dead: greedy takes the best live one
+        let ns = [NodeId::new(1), NodeId::new(3), NodeId::new(7)];
+        let greedy = GreedyPolicy::new(id_score);
+        assert_eq!(
+            greedy.next_hop(&at(2, 10, &ns), &mut ()),
+            HopChoice::Forward(NodeId::new(3))
+        );
+        // a dead target is no delivery; patching takes the best live
+        // neighbor instead
+        let ns = [NodeId::new(3), NodeId::new(7), NodeId::new(10)];
+        let patching = PatchingPolicy::new(id_score);
+        let mut st = PatchState::default();
+        assert_eq!(
+            patching.next_hop(&at(2, 10, &ns), &mut st),
+            HopChoice::Forward(NodeId::new(3))
+        );
+        // at 3 everything but 2 is dead and 2 is visited: the backtrack
+        // goes to 2, which is live
+        let ns = [NodeId::new(2), NodeId::new(11)];
+        assert_eq!(
+            patching.next_hop(&at(3, 10, &ns), &mut st),
+            HopChoice::Forward(NodeId::new(2))
+        );
+        // back at 2 with nothing left: the trail is exhausted
+        let ns = [NodeId::new(3), NodeId::new(7), NodeId::new(10)];
+        assert_eq!(patching.next_hop(&at(2, 10, &ns), &mut st), HopChoice::Drop);
+        assert_eq!(st.visited_count(), 2);
+    }
+
     #[test]
     fn patching_detours_when_greedy_is_stuck() {
         let p = PatchingPolicy::new(id_score);
@@ -360,8 +435,8 @@ mod tests {
             p.next_hop(&view(5, 10, &c5), &mut st),
             HopChoice::Forward(NodeId::new(4))
         );
-        // hop 2: at 4, neighbors are 5 (visited) and 3
-        let c4 = [NodeId::new(5), NodeId::new(3)];
+        // hop 2: at 4, neighbors are 3 and 5 (visited)
+        let c4 = [NodeId::new(3), NodeId::new(5)];
         assert_eq!(
             p.next_hop(&view(4, 10, &c4), &mut st),
             HopChoice::Forward(NodeId::new(3))

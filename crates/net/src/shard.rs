@@ -258,7 +258,6 @@ struct Runner<St> {
     latency_sum: u64,
     retries: u64,
     latency_hdr: HdrHistogram,
-    candidates: Vec<NodeId>,
     /// Cross-shard sends buffered during a window, flushed at its end.
     outbox: Vec<Vec<Msg<St>>>,
 }
@@ -294,7 +293,6 @@ impl<St: Default> Runner<St> {
             latency_sum: 0,
             retries: 0,
             latency_hdr: HdrHistogram::new(),
-            candidates: Vec::new(),
             outbox: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
@@ -502,8 +500,9 @@ impl<St: Default> Runner<St> {
         }
     }
 
-    /// Forwards one packet sitting at `node`: TTL check, candidate
-    /// filtering, policy decision, loss/retry resolution, and the arrival
+    /// Forwards one packet sitting at `node`: TTL check, policy decision
+    /// over the node's neighbor list, locality check, loss/retry
+    /// resolution, and the arrival
     /// (local push or cross-shard handoff) for the chosen neighbor.
     fn serve_packet<P: HopPolicy<State = St>, L: LatencyModel>(
         &mut self,
@@ -523,21 +522,13 @@ impl<St: Default> Runner<St> {
             self.finish(packet, PacketOutcome::Expired, now, m);
             return;
         }
-        let candidates = &mut self.candidates;
-        candidates.clear();
-        candidates.extend(
-            eng.graph
-                .neighbors(node)
-                .iter()
-                .copied()
-                .filter(|&v| eng.faults.node_up(v, now) && eng.faults.edge_up(node, v, now)),
-        );
         let view = HopView {
             current: node,
             target: pk.target,
-            candidates: candidates.as_slice(),
+            neighbors: eng.graph.neighbors(node),
             now,
             hops,
+            faults: eng.faults,
         };
         match eng.policy.next_hop(&view, &mut pk.policy) {
             HopChoice::Drop => {
@@ -545,7 +536,7 @@ impl<St: Default> Runner<St> {
             }
             HopChoice::Forward(next) => {
                 assert!(
-                    self.candidates.contains(&next),
+                    view.is_live_neighbor(next),
                     "locality violation: {next} is not a live neighbor of {node}"
                 );
                 // resolve loss and retries now — the outcome is a pure

@@ -31,10 +31,6 @@
 //! * [`Simulation::run_summary`] — aggregate counters plus an HDR
 //!   latency distribution, O(in-flight) memory; the only sane mode at
 //!   tens of millions of packets.
-//! * [`Simulation::run_local`] — strictly serial records, with no
-//!   `Sync`/`Send` bounds on the policy or latency model; for callers
-//!   that already run one simulation per worker thread, or whose policy
-//!   is not thread-safe.
 
 use smallworld_graph::{Graph, NodeId};
 use smallworld_obs::{HdrSnapshot, Span};
@@ -44,7 +40,7 @@ use crate::event::Time;
 use crate::fault::FaultPlan;
 use crate::link::{LatencyModel, UnitLatency};
 use crate::policy::HopPolicy;
-use crate::shard::{run_serial, run_sharded, EngineConfig, EngineOutput};
+use crate::shard::{run_sharded, EngineConfig, EngineOutput};
 use crate::workload::Workload;
 
 /// Default TTL, matching `smallworld-core`'s `DEFAULT_MAX_STEPS` so the
@@ -240,7 +236,7 @@ impl Progress {
 }
 
 /// Everything a [`Simulation::run`] produced.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
     /// One record per injection, in packet-id (= workload stream) order.
     pub packets: Vec<PacketRecord>,
@@ -626,8 +622,8 @@ impl<'g, P: HopPolicy, L: LatencyModel> Simulation<'g, P, L> {
     /// # Panics
     ///
     /// Panics with a "locality violation" message if the policy forwards
-    /// to a node that was not offered as a candidate, and if the
-    /// workload yields injections with decreasing times.
+    /// to a node that is not a live neighbor of the forwarding node, and
+    /// if the workload yields injections with decreasing times.
     pub fn run<W: Workload + Send>(&self, workload: W) -> SimReport
     where
         P: Sync,
@@ -636,11 +632,7 @@ impl<'g, P: HopPolicy, L: LatencyModel> Simulation<'g, P, L> {
     {
         let _span = Span::enter("net.run");
         let shards = self.shard_count();
-        if shards <= 1 {
-            Self::report(run_serial(&self.engine(), workload, true))
-        } else {
-            Self::report(run_sharded(&self.engine(), workload, shards, true))
-        }
+        Self::report(run_sharded(&self.engine(), workload, shards, true))
     }
 
     /// Like [`run`](Self::run), but returns only aggregates (outcome
@@ -655,23 +647,7 @@ impl<'g, P: HopPolicy, L: LatencyModel> Simulation<'g, P, L> {
     {
         let _span = Span::enter("net.run");
         let shards = self.shard_count();
-        if shards <= 1 {
-            Self::summary(run_serial(&self.engine(), workload, false))
-        } else {
-            Self::summary(run_sharded(&self.engine(), workload, shards, false))
-        }
-    }
-
-    /// Strictly serial [`run`](Self::run) with no thread-safety bounds.
-    ///
-    /// For callers that parallelize *across* simulations (e.g. one
-    /// repetition per pool worker) and would gain nothing from sharding,
-    /// and for policies whose scorer is not `Sync`, such as a prepared
-    /// objective over a generic borrowed model. Produces exactly what
-    /// `run` produces for the same inputs.
-    pub fn run_local<W: Workload>(&self, workload: W) -> SimReport {
-        let _span = Span::enter("net.run");
-        Self::report(run_serial(&self.engine(), workload, true))
+        Self::summary(run_sharded(&self.engine(), workload, shards, false))
     }
 }
 
@@ -1055,6 +1031,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "locality violation")]
+    fn forwarding_to_a_dead_neighbor_is_rejected() {
+        struct Reckless;
+        impl HopPolicy for Reckless {
+            type State = ();
+            fn name(&self) -> &'static str {
+                "reckless"
+            }
+            fn next_hop(&self, view: &HopView<'_>, _state: &mut ()) -> HopChoice {
+                HopChoice::Forward(*view.neighbors.last().expect("a neighbor"))
+            }
+        }
+        // node 0 up, its only neighbor 1 down from tick 0 on
+        let spec = FaultSpec {
+            node_fail_rate: 0.5,
+            ..FaultSpec::none()
+        };
+        let plan = (0..)
+            .map(|seed| FaultPlan::new(spec, seed))
+            .find(|p| p.node_up(NodeId::new(0), 0) && !p.node_up(NodeId::new(1), 0))
+            .expect("some seed fails node 1 only");
+        let g = path_graph(3);
+        SimBuilder::new(&g, Reckless)
+            .faults(plan)
+            .shards(1)
+            .build()
+            .unwrap()
+            .run(SliceWorkload::new(&[inject(0, 2, 0)]));
+    }
+
+    #[test]
     #[should_panic(expected = "nondecreasing time order")]
     fn time_travelling_workloads_are_rejected() {
         let g = path_graph(3);
@@ -1116,37 +1123,6 @@ mod tests {
             mk().latency(ZeroLatency).build().err(),
             Some(SimBuildError::ZeroMinLatency)
         );
-    }
-
-    #[test]
-    fn run_local_matches_run() {
-        let g = path_graph(12);
-        let spec = FaultSpec {
-            loss_rate: 0.1,
-            node_fail_rate: 0.1,
-            fail_window: 20,
-            repair_after: Some(5),
-            ..FaultSpec::none()
-        };
-        let inj: Vec<Injection> = (0..30)
-            .map(|i| inject(i % 12, (i * 5 + 1) % 12, (i / 3) as Time))
-            .collect();
-        let build = |shards| {
-            SimBuilder::new(&g, PatchingPolicy::new(id_score))
-                .faults(FaultPlan::new(spec, 3))
-                .config(SimConfig {
-                    max_retries: 2,
-                    ..SimConfig::default()
-                })
-                .shards(shards)
-                .build()
-                .unwrap()
-        };
-        let serial = build(1).run_local(SliceWorkload::new(&inj));
-        let threaded = build(3).run(SliceWorkload::new(&inj));
-        assert_eq!(serial.packets, threaded.packets);
-        assert_eq!(serial.events, threaded.events);
-        assert_eq!(serial.final_time, threaded.final_time);
     }
 
     #[test]
